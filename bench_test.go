@@ -200,6 +200,29 @@ func BenchmarkAnalyze(b *testing.B) {
 	}
 }
 
+// TestAnalyzeAllocs pins the allocation count of one Analyze over the
+// BenchmarkAnalyze input: a deterministic gate on the analysis's
+// per-call structure (member chunks, window index, cue picks) where
+// ns/op would be too noisy to gate on. Measured 202 on go1.24 linux/amd64;
+// the map-keyed cue table it replaced made 2,243.
+func TestAnalyzeAllocs(t *testing.T) {
+	app, err := ripple.BuildWorkload(ripple.MustWorkload("finagle-http"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := app.Trace(0, 50_000)
+	cfg := ripple.DefaultAnalysisConfig()
+	avg := testing.AllocsPerRun(3, func() {
+		if _, err := ripple.Analyze(app.Prog, tr, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Analyze: %.0f allocs/op", avg)
+	if avg > 300 {
+		t.Errorf("Analyze allocates %.0f times per call, want <= 300", avg)
+	}
+}
+
 // --- streaming vs materialized allocation benchmarks ---
 
 // benchSimStream simulates from a workload stream source built inside

@@ -12,10 +12,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 
 	"ripple/internal/blockseq"
 	"ripple/internal/cache"
@@ -50,7 +51,6 @@ func DefaultAnalysisConfig() AnalysisConfig {
 // ideal eviction, within one of the analyzed sources.
 type window struct {
 	line       uint64
-	trace      int32 // index into Analysis.sources
 	start, end int32 // block-trace indices; blocks in (start, end] form the window
 }
 
@@ -74,36 +74,23 @@ type Analysis struct {
 	// packet stream.
 	Coverage *SourceCoverage
 
-	sources   []blockseq.Source
-	windows   []window
+	windows []window
+	// members[i] lists window i's distinct blocks, closest to the
+	// eviction first (the cue tie-break order). The lists are carved out
+	// of fixed-size chunks; memberCap is the chunks' total capacity.
+	members   [][]program.BlockID
+	memberCap int
 	execCount []uint32
-	// pairWindows counts, for each (victim line, candidate block), the
-	// number of distinct eviction windows of that line containing the
-	// block.
-	pairWindows map[pairKey]uint32
-	// cues caches the per-window cue selection (threshold-independent);
-	// cueOnce makes the lazy computation safe when one Analysis is shared
-	// by concurrent PlanAt callers (the parallel experiment runner).
-	cues    []CueChoice
-	cueOnce sync.Once
-	cueErr  error
-	// mark/markGen implement O(1) per-window candidate deduplication.
-	mark    []uint32
-	markGen uint32
-}
-
-// pairKey packs (victim line, block) into one map key.
-type pairKey struct {
-	line  uint64
-	block program.BlockID
+	// cues is the per-window cue selection (threshold-independent),
+	// computed by AnalyzeMulti; concurrent PlanAt callers only read it.
+	cues []CueChoice
 }
 
 // Analyze profiles the block source against the ideal replacement policy
-// and computes the eviction windows and conditional-probability tables.
-// The source must have been produced against prog's current layout, and
-// must be replayable: the analysis makes several passes over it (and
-// PlanAt's lazy cue selection makes one more), holding only O(windows)
-// state instead of the materialized trace.
+// and computes the eviction windows and their cues. The source must have
+// been produced against prog's current layout, and must be replayable:
+// the analysis makes two passes over it, holding O(window members) state
+// instead of the materialized trace.
 func Analyze(prog *program.Program, src blockseq.Source, cfg AnalysisConfig) (*Analysis, error) {
 	return AnalyzeMulti(prog, []blockseq.Source{src}, cfg)
 }
@@ -124,18 +111,16 @@ func AnalyzeMulti(prog *program.Program, sources []blockseq.Source, cfg Analysis
 	}
 
 	a := &Analysis{
-		Prog:        prog,
-		cfg:         cfg,
-		sources:     sources,
-		execCount:   make([]uint32, prog.NumBlocks()),
-		pairWindows: make(map[pairKey]uint32, 1<<12),
-		mark:        make([]uint32, prog.NumBlocks()),
+		Prog:      prog,
+		cfg:       cfg,
+		execCount: make([]uint32, prog.NumBlocks()),
 	}
-	for ti, src := range sources {
+	sc := &memberScan{mark: make([]uint32, prog.NumBlocks())}
+	for _, src := range sources {
 		if src == nil {
 			continue
 		}
-		n, err := a.analyzeOne(int32(ti), src)
+		n, err := a.analyzeOne(src, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -145,12 +130,10 @@ func AnalyzeMulti(prog *program.Program, sources []blockseq.Source, cfg Analysis
 		return nil, fmt.Errorf("core: empty trace")
 	}
 	a.Windows = len(a.windows)
-	// Force the cue selection now: it replays the sources, so any replay
-	// error belongs to the analysis, not to a later PlanAt call.
-	a.selectCues()
-	if a.cueErr != nil {
-		return nil, a.cueErr
-	}
+	a.memberCap = sc.allocated
+	// The dedup marks are done with: reuse them as the cue counter.
+	clear(sc.mark)
+	a.cues = a.selectCues(sc.mark)
 	a.Coverage = gatherCoverage(sources)
 	return a, nil
 }
@@ -201,6 +184,43 @@ func gatherCoverage(sources []blockseq.Source) *SourceCoverage {
 	return &cov
 }
 
+// memberChunkBlocks is the size of one chunk of window member lists. A
+// list never straddles chunks, so each chunk may strand up to one
+// window's bound at its tail; at 256 KB per chunk against at most 8 KB
+// per list (the default 2048-block window cap) that slack stays small.
+const memberChunkBlocks = 1 << 16
+
+// memberScan is the scratch state of the window-membership pass, shared
+// by every source of one analysis.
+type memberScan struct {
+	// mark/markGen implement O(1) per-window candidate deduplication.
+	mark    []uint32
+	markGen uint32
+	// free is the unused tail of the current member chunk; allocated
+	// sums the capacity of every chunk handed out.
+	free      []program.BlockID
+	allocated int
+}
+
+// room returns space for a member list of up to bound blocks. remaining
+// bounds the lists still to come in this pass (bound included), so the
+// last chunk is no larger than the pass can use. Chunks are allocated at
+// their final size: the buffer never grows by copying.
+func (sc *memberScan) room(bound, remaining int) []program.BlockID {
+	if len(sc.free) < bound {
+		sc.free = make([]program.BlockID, min(max(memberChunkBlocks, bound), remaining))
+		sc.allocated += len(sc.free)
+	}
+	return sc.free
+}
+
+// take keeps the first n blocks of the last room as one member list.
+func (sc *memberScan) take(n int) []program.BlockID {
+	list := sc.free[:n:n]
+	sc.free = sc.free[n:]
+	return list
+}
+
 // teeBufBlocks bounds how far the Tee'd analysis branches may run apart:
 // big enough that the branches rarely stall on each other, small enough
 // to stay cache-resident.
@@ -208,8 +228,8 @@ const teeBufBlocks = 4096
 
 // analyzeOne expands one source into its demand line stream (identical to
 // what the simulator fetches — Sec. III-A: no speculative accesses),
-// replays Belady's MIN over it logging evictions, and accumulates window
-// membership counts. It returns the source's block count.
+// replays Belady's MIN over it logging evictions, and records each
+// window's distinct blocks. It returns the source's block count.
 //
 // The source is streamed twice: one shared decode feeds both the
 // execution-count scan and the demand-line expansion (whose output the
@@ -217,7 +237,7 @@ const teeBufBlocks = 4096
 // a ring-buffered replay then serves every window's block range without
 // the materialized trace — seeking past unneeded gaps when the pass
 // supports it.
-func (a *Analysis) analyzeOne(traceIdx int32, src blockseq.Source) (int, error) {
+func (a *Analysis) analyzeOne(src blockseq.Source, sc *memberScan) (int, error) {
 	blocksHint := 0
 	if n, ok := blockseq.LenHint(src); ok {
 		blocksHint = n
@@ -259,10 +279,11 @@ func (a *Analysis) analyzeOne(traceIdx int32, src blockseq.Source) (int, error) 
 	a.IdealMisses += res.DemandMisses
 
 	first := len(a.windows)
+	numBlocks := a.Prog.NumBlocks()
+	remaining := 0 // Σ min(span, NumBlocks) over this source's windows
 	for _, ev := range res.EvictionLog {
 		w := window{
 			line:  ev.Line,
-			trace: traceIdx,
 			start: blockOf[ev.LastUse],
 			end:   blockOf[ev.At],
 		}
@@ -273,18 +294,26 @@ func (a *Analysis) analyzeOne(traceIdx int32, src blockseq.Source) (int, error) 
 			continue // eviction triggered by the very next block: no window
 		}
 		a.windows = append(a.windows, w)
+		remaining += min(int(w.end-w.start), numBlocks)
 	}
 
+	a.members = slices.Grow(a.members, len(a.windows)-first)
 	err = replayWindows(src, a.windows[first:], a.cfg.MaxWindowBlocks, func(w window, at func(int32) program.BlockID) {
-		a.markGen++
-		for ti := w.start + 1; ti <= w.end; ti++ {
+		bound := min(int(w.end-w.start), numBlocks)
+		list := sc.room(bound, remaining)
+		remaining -= bound
+		sc.markGen++
+		n := 0
+		for ti := w.end; ti > w.start; ti-- {
 			bid := at(ti)
-			if a.mark[bid] == a.markGen {
-				continue // already counted for this window
+			if sc.mark[bid] == sc.markGen {
+				continue // already listed for this window
 			}
-			a.mark[bid] = a.markGen
-			a.pairWindows[pairKey{line: w.line, block: bid}]++
+			sc.mark[bid] = sc.markGen
+			list[n] = bid
+			n++
 		}
+		a.members = append(a.members, sc.take(n))
 	})
 	if err != nil {
 		return 0, err
@@ -358,8 +387,15 @@ func replayWindows(src blockseq.Source, windows []window, maxWin int, visit func
 
 // Probability returns P(evict line | execute block): the fraction of the
 // block's executions that fall inside one of the line's eviction windows.
+// It scans every window on each call; cue selection counts densely
+// instead (see selectCues).
 func (a *Analysis) Probability(line uint64, block program.BlockID) float64 {
-	n := a.pairWindows[pairKey{line: line, block: block}]
+	var n uint32
+	for i, w := range a.windows {
+		if w.line == line && slices.Contains(a.members[i], block) {
+			n++
+		}
+	}
 	if n == 0 || a.execCount[block] == 0 {
 		return 0
 	}
@@ -375,70 +411,92 @@ type CueChoice struct {
 
 // selectCues picks, for every eviction window, the candidate block with
 // the highest conditional probability (ties broken toward the block
-// closest to the eviction, then lowest ID — "arbitrarily" per the paper,
-// but deterministic here). The selection does not depend on the
-// invalidation threshold, so it is computed once and cached; PlanAt then
-// filters it per threshold. AnalyzeMulti forces the computation before
-// returning (the replay can fail on a misbehaving source, and this is
-// where that error surfaces), so by the time concurrent PlanAt callers
-// share the Analysis the Once is already settled.
-func (a *Analysis) selectCues() []CueChoice {
-	a.cueOnce.Do(func() { a.cueErr = a.computeCues() })
-	return a.cues
-}
-
-// computeCues scans each window's blocks closest-to-eviction first via
-// the same ring-buffered source replay the accumulation pass uses.
-func (a *Analysis) computeCues() error {
-	choices := make([]CueChoice, 0, len(a.windows))
-	// a.windows groups each source's windows contiguously, in analysis
-	// order: replay one source per group.
-	for lo := 0; lo < len(a.windows); {
-		hi := lo
-		src := a.windows[lo].trace
-		for hi < len(a.windows) && a.windows[hi].trace == src {
+// closest to the eviction — "arbitrarily" per the paper, but
+// deterministic here). The selection does not depend on the invalidation
+// threshold, so it is computed once; PlanAt then filters it per
+// threshold. The result is in window order.
+//
+// Windows are grouped by victim line so that one line's probability
+// table fits a dense per-block counter: count every member of the line's
+// windows, pick each window's cue by scanning its list, then zero the
+// touched counters for the next line. count must be all zero and
+// NumBlocks long; it is left all zero.
+func (a *Analysis) selectCues(count []uint32) []CueChoice {
+	order := a.windowsByLine()
+	picks := make([]CueChoice, len(a.windows))
+	for lo := 0; lo < len(order); {
+		line := a.windows[order[lo]].line
+		hi := lo + 1
+		for hi < len(order) && a.windows[order[hi]].line == line {
 			hi++
 		}
-		err := replayWindows(a.sources[src], a.windows[lo:hi], a.cfg.MaxWindowBlocks, func(w window, at func(int32) program.BlockID) {
-			a.markGen++
-			best := CueChoice{Line: w.line, Block: program.NoBlock}
-			for ti := w.end; ti > w.start; ti-- {
-				bid := at(ti)
-				if a.mark[bid] == a.markGen {
-					continue
-				}
-				a.mark[bid] = a.markGen
-				if p := a.Probability(w.line, bid); p > best.Probability {
-					best.Block = bid
+		group := order[lo:hi]
+		lo = hi
+		for _, wi := range group {
+			for _, b := range a.members[wi] {
+				count[b]++
+			}
+		}
+		for _, wi := range group {
+			best := CueChoice{Line: line, Block: program.NoBlock}
+			for _, b := range a.members[wi] {
+				if p := float64(count[b]) / float64(a.execCount[b]); p > best.Probability {
+					best.Block = b
 					best.Probability = p
 				}
 			}
-			if best.Block != program.NoBlock {
-				choices = append(choices, best)
-			}
-		})
-		if err != nil {
-			return err
+			picks[wi] = best
 		}
-		lo = hi
+		for _, wi := range group {
+			for _, b := range a.members[wi] {
+				count[b] = 0
+			}
+		}
 	}
-	a.cues = choices
-	return nil
+	cues := picks[:0]
+	for _, c := range picks {
+		if c.Block != program.NoBlock {
+			cues = append(cues, c)
+		}
+	}
+	return cues
+}
+
+// windowsByLine returns the window indices ordered by victim line, and
+// in window order within one line.
+func (a *Analysis) windowsByLine() []int32 {
+	order := make([]int32, len(a.windows))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(x, y int32) int {
+		if c := cmp.Compare(a.windows[x].line, a.windows[y].line); c != 0 {
+			return c
+		}
+		return cmp.Compare(x, y)
+	})
+	return order
 }
 
 // Candidates returns the candidate cue blocks of the given victim line
 // with their conditional probabilities, sorted by descending probability —
 // the data behind the Fig. 5 worked example.
 func (a *Analysis) Candidates(line uint64) []CueChoice {
-	var out []CueChoice
-	for k, n := range a.pairWindows {
-		if k.line != line || n == 0 {
+	count := make(map[program.BlockID]uint32)
+	for i, w := range a.windows {
+		if w.line != line {
 			continue
 		}
+		for _, b := range a.members[i] {
+			count[b]++
+		}
+	}
+	var out []CueChoice
+	for b, n := range count {
 		out = append(out, CueChoice{
 			Line:        line,
-			Block:       k.block,
-			Probability: a.Probability(line, k.block),
+			Block:       b,
+			Probability: float64(n) / float64(a.execCount[b]),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {

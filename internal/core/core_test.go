@@ -117,8 +117,8 @@ func TestAnalysisWindowCap(t *testing.T) {
 	}
 	sum := func(a *Analysis) int {
 		n := 0
-		for _, c := range a.pairWindows {
-			n += int(c)
+		for _, m := range a.members {
+			n += len(m)
 		}
 		return n
 	}

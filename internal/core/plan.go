@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"ripple/internal/program"
@@ -44,9 +45,7 @@ func (a *Analysis) PlanAt(threshold float64) *Plan {
 		Injections:   make(map[program.BlockID][]uint64),
 		WindowsTotal: a.Windows,
 	}
-	type pk = pairKey
-	planned := make(map[pk]bool)
-	for _, c := range a.selectCues() {
+	for _, c := range a.cues {
 		if c.Probability < threshold {
 			continue
 		}
@@ -59,15 +58,12 @@ func (a *Analysis) PlanAt(threshold float64) *Plan {
 			continue
 		}
 		p.WindowsCovered++
-		k := pk{line: c.Line, block: c.Block}
-		if planned[k] {
-			continue // one static instruction covers all matching windows
-		}
-		planned[k] = true
 		p.Injections[c.Block] = append(p.Injections[c.Block], c.Line)
 	}
-	for _, victims := range p.Injections {
-		sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
+	// One static instruction covers all of a cue's windows for one line.
+	for b, victims := range p.Injections {
+		slices.Sort(victims)
+		p.Injections[b] = slices.Compact(victims)
 	}
 	return p
 }

@@ -22,7 +22,7 @@ func benchWindows(blocks int32) []window {
 	const span, stride = 200, 2_000
 	var ws []window
 	for end := int32(stride); end < blocks; end += stride {
-		ws = append(ws, window{line: 1, trace: 0, start: end - span, end: end})
+		ws = append(ws, window{line: 1, start: end - span, end: end})
 	}
 	return ws
 }

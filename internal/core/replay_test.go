@@ -60,7 +60,7 @@ func requireSameAnalysis(t *testing.T, a, b *Analysis) {
 		t.Fatalf("summaries differ: {%d %d %d} vs {%d %d %d}",
 			a.TraceBlocks, a.Windows, a.IdealMisses, b.TraceBlocks, b.Windows, b.IdealMisses)
 	}
-	ca, cb := a.selectCues(), b.selectCues()
+	ca, cb := a.cues, b.cues
 	if len(ca) != len(cb) {
 		t.Fatalf("cue counts differ: %d vs %d", len(ca), len(cb))
 	}
@@ -135,6 +135,32 @@ func TestAnalyzeOpenCountFlat(t *testing.T) {
 	}
 }
 
+// TestAnalyzeDecodeWork: a full analysis over a plain trace file decodes
+// at most two passes' worth of blocks — one Tee'd pass feeding the
+// execution counts and the demand lines, and one window replay. Cue
+// selection reads the member lists and replays nothing.
+func TestAnalyzeDecodeWork(t *testing.T) {
+	app := replayApp(t)
+	tr := app.Trace(0, 20_000)
+	path := writeSyncTrace(t, app, tr)
+	cfg := AnalysisConfig{L1I: frontend.DefaultParams().L1I, MaxWindowBlocks: 64}
+	cfg.L1I.SizeBytes = 1 << 10
+	cfg.L1I.Ways = 2
+
+	src := trace.FileSource(path, app.Prog)
+	a, err := Analyze(app.Prog, src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Windows == 0 {
+		t.Fatal("test is vacuous: no eviction windows found")
+	}
+	decoded := src.(trace.DecodeCounting).DecodedBlocks()
+	if budget := 2 * uint64(len(tr)); decoded > budget {
+		t.Fatalf("analysis decoded %d blocks of a %d-block trace, budget %d (two passes)", decoded, len(tr), budget)
+	}
+}
+
 // TestWindowReplayDecodeBudget is the acceptance bound for seek-aware
 // window replay: over an indexed SyncEvery(256) trace, serving sparse
 // windows decodes at most (window span + one sync interval) blocks per
@@ -152,7 +178,7 @@ func TestWindowReplayDecodeBudget(t *testing.T) {
 	const maxWin, span, stride = 256, 200, 2_000
 	var windows []window
 	for end := int32(stride); end < blocks; end += stride {
-		windows = append(windows, window{line: 1, trace: 0, start: end - span, end: end})
+		windows = append(windows, window{line: 1, start: end - span, end: end})
 	}
 	counting := src.(trace.DecodeCounting)
 	before := counting.DecodedBlocks()

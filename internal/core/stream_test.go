@@ -54,7 +54,7 @@ func TestAnalyzeStreamMatchesSlice(t *testing.T) {
 	if fromStream.Windows == 0 {
 		t.Fatal("test is vacuous: no eviction windows found")
 	}
-	sc, zc := fromStream.selectCues(), fromSlice.selectCues()
+	sc, zc := fromStream.cues, fromSlice.cues
 	if len(sc) != len(zc) {
 		t.Fatalf("cue counts differ: %d vs %d", len(sc), len(zc))
 	}
