@@ -169,12 +169,10 @@ type sim struct {
 	prog   *program.Program
 	opts   Options
 	l1i    *cache.Cache
-	l2     *cache.Cache
-	l3     *cache.Cache
+	outer  hierarchy
 	res    *Result
 	oracle *opt.Oracle
 	pos    int32 // current demand-stream position (oracle time)
-	seen   map[uint64]bool
 
 	// cycleF is the running cycle clock; prefetch timeliness is judged
 	// against it.
@@ -196,7 +194,8 @@ type sim struct {
 // O(1) state beyond the caches: a streaming source (workload walker, PT
 // decoder) is consumed without ever materializing the trace.
 // MeasureAccuracy re-opens the source for the oracle pre-pass, relying on
-// the Source replayability contract.
+// the Source replayability contract. Runs over the same text share one
+// prewarmed L2/L3 snapshot and copy only the sets they touch (outer.go).
 func Run(p Params, prog *program.Program, src blockseq.Source, opts Options) (Result, error) {
 	if opts.Policy == nil {
 		opts.Policy = replacement.NewLRU()
@@ -204,17 +203,18 @@ func Run(p Params, prog *program.Program, src blockseq.Source, opts Options) (Re
 	if opts.Prefetcher == nil {
 		opts.Prefetcher = prefetch.None{}
 	}
+	h, err := newOuter(p, prog, opts.ColdHierarchy)
+	if err != nil {
+		return Result{}, err
+	}
+	return runWith(p, prog, src, opts, h)
+}
+
+// runWith is Run over a given outer hierarchy.
+func runWith(p Params, prog *program.Program, src blockseq.Source, opts Options, h hierarchy) (Result, error) {
 	l1i, err := cache.New(p.L1I, opts.Policy)
 	if err != nil {
 		return Result{}, fmt.Errorf("frontend: L1I: %w", err)
-	}
-	l2, err := cache.New(p.L2, replacement.NewLRU())
-	if err != nil {
-		return Result{}, fmt.Errorf("frontend: L2: %w", err)
-	}
-	l3, err := cache.New(p.L3, replacement.NewLRU())
-	if err != nil {
-		return Result{}, fmt.Errorf("frontend: L3: %w", err)
 	}
 	res := Result{
 		Program:    prog.Name,
@@ -223,9 +223,8 @@ func Run(p Params, prog *program.Program, src blockseq.Source, opts Options) (Re
 	}
 	s := &sim{
 		p: p, prog: prog, opts: opts,
-		l1i: l1i, l2: l2, l3: l3,
+		l1i: l1i, outer: h,
 		res:     &res,
-		seen:    make(map[uint64]bool, 1<<14),
 		pending: make(map[uint64]float64, 1<<10),
 	}
 	if mo, ok := opts.Prefetcher.(prefetch.MissObserver); ok {
@@ -237,9 +236,6 @@ func Run(p Params, prog *program.Program, src blockseq.Source, opts Options) (Re
 			return Result{}, fmt.Errorf("frontend: oracle pre-pass: %w", err)
 		}
 		s.oracle = o
-	}
-	if !opts.ColdHierarchy {
-		s.prewarm()
 	}
 	if opts.RecordStream {
 		res.Stream = make([]opt.Event, 0, blockseq.CapHint(src, 512)*2)
@@ -352,18 +348,6 @@ func (r *Result) subtract(w *Result) {
 	r.L1I = cache.Sub(r.L1I, w.L1I)
 }
 
-// prewarm installs the whole text image into L2 and L3.
-func (s *sim) prewarm() {
-	var buf [16]uint64
-	for i := range s.prog.Blocks {
-		for _, l := range s.prog.Blocks[i].Lines(buf[:0]) {
-			ai := cache.AccessInfo{Line: l, Sig: l}
-			s.l2.Access(ai)
-			s.l3.Access(ai)
-		}
-	}
-}
-
 // stall charges exposed miss latency: the clock advances and the stall is
 // accounted.
 func (s *sim) stall(cycles float64) {
@@ -400,19 +384,17 @@ func (s *sim) demandAccess(l uint64) {
 		}
 		return
 	}
-	if !s.seen[l] {
-		s.seen[l] = true
+	if s.outer.firstMiss(l) {
 		s.res.Compulsory++
 	}
 	// Serve the miss from the hierarchy, fully exposed.
-	switch {
-	case s.l2.Access(ai).Hit:
+	switch s.outer.fill(l, false) {
+	case servedL2:
 		s.res.L2Hits++
 		s.stall(float64(s.p.L2Lat))
-	case s.l3.Access(ai).Hit:
+	case servedL3:
 		s.res.L3Hits++
 		s.stall(float64(s.p.L3Lat))
-		// L2 was filled by its miss handling in Access above.
 	default:
 		s.res.MemFills++
 		s.stall(float64(s.p.MemLat))
@@ -444,11 +426,11 @@ func (s *sim) issuePrefetch(l uint64) {
 		// arrives after the level's latency, and a demand access before
 		// then is a late prefetch.
 		lat := float64(s.p.L2Lat)
-		if !s.l2.Access(ai).Hit {
+		switch s.outer.fill(l, true) {
+		case servedL3:
 			lat = float64(s.p.L3Lat)
-			if !s.l3.Access(ai).Hit {
-				lat = float64(s.p.MemLat)
-			}
+		case servedMem:
+			lat = float64(s.p.MemLat)
 		}
 		s.pending[l] = s.cycleF + lat
 	}

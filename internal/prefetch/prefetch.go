@@ -124,6 +124,7 @@ func NewFDIP(prog *program.Program, cfg bpred.Config, depth int) *FDIP {
 		pred:           bpred.New(cfg),
 		depth:          depth,
 		stepsPerRetire: 2,
+		ftq:            make([]program.BlockID, 0, depth),
 		runPC:          program.NoBlock,
 	}
 }
@@ -140,7 +141,10 @@ func (p *FDIP) OnBlockRetire(bid, next program.BlockID, issue IssueFunc) {
 
 	onPath := p.started && correct && len(p.ftq) > 0 && p.ftq[0] == next
 	if onPath {
-		p.ftq = p.ftq[1:]
+		// Pop in place: reslicing off the front would make refill's
+		// append reallocate the queue over and over.
+		n := copy(p.ftq, p.ftq[1:])
+		p.ftq = p.ftq[:n]
 	} else {
 		// Squash: wrong path (or cold start) — restart the walk from the
 		// actual successor with committed predictor state.

@@ -189,6 +189,14 @@ func (p *Program) WithInjections(plan map[BlockID][]uint64) *Program {
 // the optimization came from; the `layout` experiment quantifies how much
 // of Ripple's accuracy that preserves. Code-size overhead still accrues
 // through InstrCount (the hints execute), but CodeBytes is unchanged.
+//
+// When no planned block's CodeBytes changes (the usual case: p carries
+// no shift-placed injections on the planned blocks), the result is built
+// without re-running Layout and shares read-only structure with p: its
+// Funcs, FuncOrder, address indexes, and the slices of every block the
+// plan does not rewrite. Only the Blocks array itself is copied. Neither
+// program may be mutated in place afterwards; Clone stays a deep copy for
+// callers that need one.
 func (p *Program) WithInjectionsPreservingLayout(plan map[BlockID][]uint64) *Program {
 	return p.inject(plan, true)
 }
@@ -197,18 +205,14 @@ func (p *Program) inject(plan map[BlockID][]uint64, preserve bool) *Program {
 	if !p.laidOut {
 		panic("program: WithInjections before Layout")
 	}
-	q := p.clone()
-	for bid, victims := range plan {
-		b := &q.Blocks[bid]
-		if b.JIT || b.Kernel || len(victims) == 0 {
-			continue
-		}
-		b.Invalidations = make([]uint64, len(victims))
-		copy(b.Invalidations, victims)
-		if preserve {
-			b.InvalidationsInPadding = true
-		}
+	if preserve && !p.planMovesCode(plan) {
+		q := *p
+		q.Blocks = append([]Block(nil), p.Blocks...)
+		q.setInjections(plan, true)
+		return &q
 	}
+	q := p.clone()
+	q.setInjections(plan, preserve)
 	q.Layout(p.Base)
 	if preserve {
 		return q // no byte moved; victim lines stay valid
@@ -224,6 +228,41 @@ func (p *Program) inject(plan map[BlockID][]uint64, preserve bool) *Program {
 		}
 	}
 	return q
+}
+
+// injectable reports whether the plan rewrites block b: Ripple never
+// injects into JIT or kernel code, and an empty victim list is no
+// injection.
+func injectable(b *Block, victims []uint64) bool {
+	return !b.JIT && !b.Kernel && len(victims) > 0
+}
+
+// setInjections gives every injectable planned block a private copy of
+// its victims, placed into padding when preserve is set.
+func (p *Program) setInjections(plan map[BlockID][]uint64, preserve bool) {
+	for bid, victims := range plan {
+		b := &p.Blocks[bid]
+		if !injectable(b, victims) {
+			continue
+		}
+		b.Invalidations = append([]uint64(nil), victims...)
+		if preserve {
+			b.InvalidationsInPadding = true
+		}
+	}
+}
+
+// planMovesCode reports whether padding-placing the plan would change
+// some block's CodeBytes, so that the text must be laid out again: only
+// a planned block that already carries shift-placed injections does.
+func (p *Program) planMovesCode(plan map[BlockID][]uint64) bool {
+	for bid, victims := range plan {
+		b := &p.Blocks[bid]
+		if injectable(b, victims) && b.CodeBytes() != b.Size {
+			return true
+		}
+	}
+	return false
 }
 
 // Clone deep-copies the program; the caller is expected to re-run Layout

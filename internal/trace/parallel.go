@@ -66,13 +66,6 @@ func parallelBytesSource(data []byte, prog *program.Program, rec bool, decoders 
 	return newParallelSource(&readerSource{prog: prog, inMemory: true, data: data, rec: rec}, decoders)
 }
 
-// parallelTestGate, when non-nil, is invoked by every region worker
-// while it occupies a decode slot. Tests install a rendezvous barrier
-// here to prove that the configured number of workers really decode
-// simultaneously (wall-clock speedup is unmeasurable on a 1-CPU CI
-// box). It must be set before any pass is opened and cleared after.
-var parallelTestGate func()
-
 // parallelSource decorates a readerSource with concurrent region decode.
 // The embedded source still serves the serial fallback, the LenHint
 // cache, the decode meter, and the recovery report.
@@ -82,6 +75,12 @@ type parallelSource struct {
 	// sem bounds the number of regions decoding at once across all
 	// passes of this source.
 	sem chan struct{}
+	// testGate, when non-nil, is invoked by every region worker of this
+	// source while it occupies a decode slot. Tests set it before the
+	// first Open to install a rendezvous barrier proving that the
+	// configured number of workers really decode simultaneously
+	// (wall-clock speedup is unmeasurable on a 1-CPU CI box).
+	testGate func()
 
 	scanOnce sync.Once
 	scan     parallelScan
@@ -332,8 +331,8 @@ func (s *parallelSeq) dispatch(off int64) {
 	ps := s.ps
 	go func() {
 		ps.sem <- struct{}{}
-		if gate := parallelTestGate; gate != nil {
-			gate()
+		if ps.testGate != nil {
+			ps.testGate()
 		}
 		run := ps.decodeRegion(off)
 		<-ps.sem

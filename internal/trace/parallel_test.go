@@ -209,13 +209,17 @@ func TestParallelConcurrentRegionDecoders(t *testing.T) {
 
 	arrived := make(chan struct{}, 1024)
 	release := make(chan struct{})
-	parallelTestGate = func() {
+	src := ParallelFileSource(path, prog, workers)
+	ps, ok := src.(*parallelSource)
+	if !ok {
+		t.Fatalf("ParallelFileSource returned %T, want *parallelSource", src)
+	}
+	// Only this source's workers count: ones a previous test abandoned
+	// hold slots on their own source's semaphore.
+	ps.testGate = func() {
 		arrived <- struct{}{}
 		<-release
 	}
-	defer func() { parallelTestGate = nil }()
-
-	src := ParallelFileSource(path, prog, workers)
 	type result struct {
 		blocks []program.BlockID
 		err    error
