@@ -7,6 +7,7 @@ package ripple_test
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -226,10 +227,12 @@ func TestAnalyzeAllocs(t *testing.T) {
 // TestSimulateAllocs pins the allocation count of one Simulate over the
 // BenchmarkSimulateLRU and BenchmarkSimulateFDIP inputs. The outer
 // hierarchy is a shared prewarmed snapshot read through per-run
-// overlays, and the FDIP fetch target queue is reused in place, so the
-// counts are fixed per run rather than per block. Measured 22 (LRU) and
-// 35 (FDIP) on go1.24 linux/amd64; the per-run outer caches and the
-// reslicing FTQ they replaced made 91 and 7,254.
+// overlays, in-flight prefetches live in a per-way array, and the FDIP
+// fetch target queue is a fixed ring, so the counts are fixed per run
+// rather than per block. Measured 18 (LRU) and 28 (FDIP) on go1.24
+// linux/amd64; with a map of in-flight prefetches and a copying FTQ they
+// were 22 and 35, and with per-run outer caches and a reslicing FTQ 91
+// and 7,254.
 func TestSimulateAllocs(t *testing.T) {
 	app, err := ripple.BuildWorkload(ripple.MustWorkload("finagle-http"))
 	if err != nil {
@@ -240,7 +243,7 @@ func TestSimulateAllocs(t *testing.T) {
 	for _, c := range []struct {
 		prefetcher string
 		max        float64
-	}{{"none", 91}, {"fdip", 200}} {
+	}{{"none", 20}, {"fdip", 32}} {
 		avg := testing.AllocsPerRun(3, func() {
 			pol, _ := ripple.NewPolicy("lru")
 			pf, _ := ripple.NewPrefetcher(c.prefetcher, app.Prog)
@@ -252,6 +255,73 @@ func TestSimulateAllocs(t *testing.T) {
 		if avg > c.max {
 			t.Errorf("Simulate (lru, %s) allocates %.0f times per call, want <= %.0f", c.prefetcher, avg, c.max)
 		}
+	}
+}
+
+// tuneEpoch is one ripplewatch epoch body over a fixed 4096-block
+// finagle-http window: Analyze, then the default 11-run threshold sweep
+// (lru, fdip) on a fresh two-worker pool.
+type tuneEpoch struct {
+	app *ripple.App
+	win []ripple.BlockID
+	cfg ripple.TuneConfig
+}
+
+func newTuneEpoch(tb testing.TB) *tuneEpoch {
+	tb.Helper()
+	app, err := ripple.BuildWorkload(ripple.MustWorkload("finagle-http"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &tuneEpoch{
+		app: app,
+		win: app.Trace(0, 5*4096)[4*4096:],
+		cfg: ripple.TuneConfig{Params: ripple.DefaultParams(), Policy: "lru", Prefetcher: "fdip"},
+	}
+}
+
+func (e *tuneEpoch) run(tb testing.TB) {
+	src := ripple.SliceSource(e.win)
+	a, err := ripple.AnalyzeSource(e.app.Prog, src, ripple.DefaultAnalysisConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := ripple.TuneParallel(a, src, e.cfg, ripple.ParallelOptions{Workers: 2}); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkTuneEpoch measures one rolling re-analysis epoch end to end:
+// the analysis plus its baseline and ten threshold simulations.
+func BenchmarkTuneEpoch(b *testing.B) {
+	e := newTuneEpoch(b)
+	e.run(b) // builds the text's shared outer-hierarchy snapshot
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.run(b)
+	}
+}
+
+// TestTuneEpochAllocs gates the bytes one BenchmarkTuneEpoch epoch
+// allocates. The simulations run padding-placed plans as overlays on the
+// one program, so an epoch copies no program image. Measured 6.4 MB on
+// go1.24 linux/amd64; with a Blocks copy per plan and a per-epoch
+// program fingerprint it was 16.4 MB.
+func TestTuneEpochAllocs(t *testing.T) {
+	e := newTuneEpoch(t)
+	e.run(t)
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		e.run(t)
+	}
+	runtime.ReadMemStats(&after)
+	perOp := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("tune epoch: %.2f MB/op", perOp/1e6)
+	if perOp > 8<<20 {
+		t.Errorf("tune epoch allocates %.2f MB per call, want <= 8 MiB", perOp/1e6)
 	}
 }
 

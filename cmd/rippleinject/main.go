@@ -48,6 +48,9 @@ func run(progPath, planPath, out string) error {
 	}
 	plan, err := core.LoadPlan(lf)
 	lf.Close()
+	if err == nil {
+		err = plan.Check(prog)
+	}
 	if err != nil {
 		return err
 	}

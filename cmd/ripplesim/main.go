@@ -132,6 +132,9 @@ func run(progPath, traceProgPath, ptPath, planPath, policy, prefetcher string, l
 		}
 		plan, err := core.LoadPlan(f)
 		f.Close()
+		if err == nil {
+			err = plan.Check(prog)
+		}
 		if err != nil {
 			return err
 		}
@@ -231,6 +234,9 @@ func sweep(progPath, traceProgPath, ptPath, planPath string, policies, prefetche
 		}
 		plan, err := core.LoadPlan(f)
 		f.Close()
+		if err == nil {
+			err = plan.Check(prog)
+		}
 		if err != nil {
 			return err
 		}

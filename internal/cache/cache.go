@@ -92,15 +92,18 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// line is one tag-array entry.
-type line struct {
-	tag      uint64
-	valid    bool
-	prefetch bool // filled by a prefetch and not yet demand-referenced
-	reref    bool // demand-referenced at least once after fill
-	hintFree bool // way was freed by a Ripple invalidation
-	demoted  bool // line was demoted by a Ripple hint (demote variant)
-}
+// invalidTag marks an empty way. Line addresses are byte addresses
+// shifted right by the line size, so no real line reaches it; callers
+// must not probe for it.
+const invalidTag = ^uint64(0)
+
+// Per-way state bits, kept beside the tag array.
+const (
+	stPrefetch uint8 = 1 << iota // filled by a prefetch and not yet demand-referenced
+	stReref                      // demand-referenced at least once after fill
+	stHintFree                   // way was freed by a Ripple invalidation
+	stDemoted                    // line was demoted by a Ripple hint (demote variant)
+)
 
 // Stats aggregates cache events. Demand numbers exclude prefetch probes
 // and fills.
@@ -147,9 +150,12 @@ func (s Stats) Coverage() float64 {
 
 // Cache is a single level of the instruction hierarchy.
 type Cache struct {
-	cfg     Config
-	policy  Policy
-	sets    []line // len = nsets*ways, row-major by set
+	cfg    Config
+	policy Policy
+	// tags and state are the tag array, row-major by set (len =
+	// nsets*ways): a way is valid iff its tag is not invalidTag.
+	tags    []uint64
+	state   []uint8
 	nsets   int
 	ways    int
 	setMask uint64
@@ -168,7 +174,11 @@ func New(cfg Config, p Policy) (*Cache, error) {
 		ways:    cfg.Ways,
 		setMask: uint64(cfg.Sets() - 1),
 	}
-	c.sets = make([]line, c.nsets*c.ways)
+	c.tags = make([]uint64, c.nsets*c.ways)
+	for i := range c.tags {
+		c.tags[i] = invalidTag
+	}
+	c.state = make([]uint8, c.nsets*c.ways)
 	p.Reset(c.nsets, c.ways)
 	return c, nil
 }
@@ -182,8 +192,21 @@ func (c *Cache) Policy() Policy { return c.policy }
 // SetOf returns the set index for a line address.
 func (c *Cache) SetOf(lineAddr uint64) int { return int(lineAddr & c.setMask) }
 
-func (c *Cache) row(set int) []line {
-	return c.sets[set*c.ways : (set+1)*c.ways]
+// row returns the tags and state bits of one set.
+func (c *Cache) row(set int) ([]uint64, []uint8) {
+	lo, hi := set*c.ways, (set+1)*c.ways
+	return c.tags[lo:hi:hi], c.state[lo:hi:hi]
+}
+
+// find returns the way holding lineAddr in set, or -1.
+func (c *Cache) find(set int, lineAddr uint64) int {
+	tags, _ := c.row(set)
+	for w, t := range tags {
+		if t == lineAddr {
+			return w
+		}
+	}
+	return -1
 }
 
 // AccessResult describes the outcome of one probe.
@@ -214,27 +237,23 @@ func (c *Cache) Access(ai AccessInfo) AccessResult {
 		c.Stats.DemandAccesses++
 	}
 	set := c.SetOf(ai.Line)
-	row := c.row(set)
 	res := AccessResult{Set: set}
 
-	for w := range row {
-		if row[w].valid && row[w].tag == ai.Line {
-			res.Hit = true
-			res.Way = w
-			if !ai.Prefetch {
-				if row[w].prefetch {
-					res.PrefetchHit = true
-					c.Stats.PrefetchUseful++
-					row[w].prefetch = false
-				}
-				row[w].reref = true
-				// A demand re-use cancels an earlier demote hint's claim
-				// on this line.
-				row[w].demoted = false
+	if w := c.find(set, ai.Line); w >= 0 {
+		res.Hit = true
+		res.Way = w
+		if !ai.Prefetch {
+			st := &c.state[set*c.ways+w]
+			if *st&stPrefetch != 0 {
+				res.PrefetchHit = true
+				c.Stats.PrefetchUseful++
 			}
-			c.policy.OnHit(set, w, ai)
-			return res
+			// A demand re-use also cancels an earlier demote hint's
+			// claim on this line.
+			*st = *st&^(stPrefetch|stDemoted) | stReref
 		}
+		c.policy.OnHit(set, w, ai)
+		return res
 	}
 
 	// Miss.
@@ -242,9 +261,12 @@ func (c *Cache) Access(ai AccessInfo) AccessResult {
 		c.Stats.DemandMisses++
 	}
 	way := c.pickWay(set, ai, &res)
-	row[way] = line{tag: ai.Line, valid: true, prefetch: ai.Prefetch}
+	i := set*c.ways + way
+	c.tags[i] = ai.Line
+	c.state[i] = 0
 	c.Stats.Fills++
 	if ai.Prefetch {
+		c.state[i] = stPrefetch
 		c.Stats.PrefetchFills++
 	}
 	res.Way = way
@@ -256,15 +278,15 @@ func (c *Cache) Access(ai AccessInfo) AccessResult {
 // ways are preferred so coverage attribution is exact), otherwise the
 // policy's victim.
 func (c *Cache) pickWay(set int, ai AccessInfo, res *AccessResult) int {
-	row := c.row(set)
+	tags, state := c.row(set)
 	invalid := -1
-	for w := range row {
-		if !row[w].valid {
-			if row[w].hintFree {
+	for w, t := range tags {
+		if t == invalidTag {
+			if state[w]&stHintFree != 0 {
 				c.Stats.HintFreedFills++
 				c.Stats.ReplacementDecisions++
 				res.HintFreed = true
-				row[w].hintFree = false
+				state[w] = 0
 				return w
 			}
 			if invalid < 0 {
@@ -279,21 +301,20 @@ func (c *Cache) pickWay(set int, ai AccessInfo, res *AccessResult) int {
 	if w < 0 || w >= c.ways {
 		panic(fmt.Sprintf("cache: policy %s returned invalid victim way %d", c.policy.Name(), w))
 	}
-	v := &row[w]
-	res.Evicted = v.tag
+	res.Evicted = tags[w]
 	res.EvictedValid = true
 	c.Stats.Evictions++
 	c.Stats.ReplacementDecisions++
-	if v.prefetch {
+	if state[w]&stPrefetch != 0 {
 		c.Stats.PrefetchUnusedEvicted++
 	}
-	if v.demoted {
+	if state[w]&stDemoted != 0 {
 		// The victim was pushed to the replaceable position by a Ripple
 		// demote hint: this replacement decision belongs to Ripple.
 		c.Stats.HintFreedFills++
 		res.HintFreed = true
 	}
-	c.policy.OnEvict(set, w, v.reref)
+	c.policy.OnEvict(set, w, state[w]&stReref != 0)
 	return w
 }
 
@@ -302,19 +323,19 @@ func (c *Cache) pickWay(set int, ai AccessInfo, res *AccessResult) int {
 // set is attributed to Ripple. It reports whether the line was resident.
 func (c *Cache) Invalidate(lineAddr uint64) bool {
 	set := c.SetOf(lineAddr)
-	row := c.row(set)
-	for w := range row {
-		if row[w].valid && row[w].tag == lineAddr {
-			if row[w].prefetch {
-				c.Stats.PrefetchUnusedEvicted++
-			}
-			row[w] = line{hintFree: true}
-			c.Stats.HintInvalidations++
-			return true
-		}
+	w := c.find(set, lineAddr)
+	if w < 0 {
+		c.Stats.HintMisses++
+		return false
 	}
-	c.Stats.HintMisses++
-	return false
+	i := set*c.ways + w
+	if c.state[i]&stPrefetch != 0 {
+		c.Stats.PrefetchUnusedEvicted++
+	}
+	c.tags[i] = invalidTag
+	c.state[i] = stHintFree
+	c.Stats.HintInvalidations++
+	return true
 }
 
 // Demote executes the LRU-priority-lowering variant of the hint: the line
@@ -326,15 +347,12 @@ func (c *Cache) Demote(lineAddr uint64) bool {
 		return false
 	}
 	set := c.SetOf(lineAddr)
-	row := c.row(set)
-	for w := range row {
-		if row[w].valid && row[w].tag == lineAddr {
-			d.Demote(set, w)
-			// A subsequent eviction of this way counts as Ripple-initiated.
-			row[w].demoted = true
-			c.Stats.Demotions++
-			return true
-		}
+	if w := c.find(set, lineAddr); w >= 0 {
+		d.Demote(set, w)
+		// A subsequent eviction of this way counts as Ripple-initiated.
+		c.state[set*c.ways+w] |= stDemoted
+		c.Stats.Demotions++
+		return true
 	}
 	c.Stats.HintMisses++
 	return false
@@ -342,23 +360,17 @@ func (c *Cache) Demote(lineAddr uint64) bool {
 
 // Contains reports whether the line is resident.
 func (c *Cache) Contains(lineAddr uint64) bool {
-	row := c.row(c.SetOf(lineAddr))
-	for w := range row {
-		if row[w].valid && row[w].tag == lineAddr {
-			return true
-		}
-	}
-	return false
+	return c.find(c.SetOf(lineAddr), lineAddr) >= 0
 }
 
 // LinesInSet appends the valid resident line addresses of the set holding
 // lineAddr to dst — used by the replacement-accuracy oracle, which needs to
 // compare a victim against its set peers.
 func (c *Cache) LinesInSet(lineAddr uint64, dst []uint64) []uint64 {
-	row := c.row(c.SetOf(lineAddr))
-	for w := range row {
-		if row[w].valid {
-			dst = append(dst, row[w].tag)
+	tags, _ := c.row(c.SetOf(lineAddr))
+	for _, t := range tags {
+		if t != invalidTag {
+			dst = append(dst, t)
 		}
 	}
 	return dst

@@ -78,6 +78,19 @@ func (p *Plan) StaticInstructions() int {
 	return n
 }
 
+// Check reports an error when the plan names a block prog does not have.
+// Plans read from files are untrusted: apply or simulate one only after
+// it passes Check against the program it will rewrite.
+func (p *Plan) Check(prog *program.Program) error {
+	n := prog.NumBlocks()
+	for b := range p.Injections {
+		if b < 0 || int(b) >= n {
+			return fmt.Errorf("core: plan for %q names block %d; program %q has %d blocks", p.Program, b, prog.Name, n)
+		}
+	}
+	return nil
+}
+
 // Apply rewrites prog (the profiled program) with the plan's injections,
 // returning the new laid-out image. Victim line addresses are translated
 // into the rewritten layout by the program package.

@@ -214,12 +214,10 @@ func runSweepJobs(a *Analysis, src blockseq.Source, cfg TuneConfig, opts Paralle
 		skipStore = true
 		srcID = fmt.Sprintf("anon#%d", anonSource.Add(1))
 	}
-	progFP, err := a.Prog.Fingerprint()
+	base, err := tuneSignature(a.Prog, srcID, cfg)
 	if err != nil {
-		return fmt.Errorf("core: fingerprinting program: %w", err)
+		return err
 	}
-	base := fmt.Sprintf("rtune1|prog=%s|src=%s|params=%+v|pol=%s|pf=%s|hints=%d|warmup=%d|shift=%t|acc=%t",
-		progFP, srcID, cfg.Params, cfg.Policy, cfg.Prefetcher, cfg.Hints, cfg.WarmupBlocks, cfg.ShiftLayout, cfg.MeasureAccuracy)
 	cost := float64(a.TraceBlocks)
 	if cfg.MeasureAccuracy {
 		cost *= 1.5
@@ -264,6 +262,19 @@ func runSweepJobs(a *Analysis, src blockseq.Source, cfg TuneConfig, opts Paralle
 		results[i] = *(v.(*frontend.Result))
 	}
 	return nil
+}
+
+// tuneSignature is the part of a sweep job's signature shared by every
+// run of the sweep: the program fingerprint, the source identity and the
+// configuration. Result stores are keyed by it, so its bytes must not
+// change.
+func tuneSignature(prog *program.Program, srcID string, cfg TuneConfig) (string, error) {
+	progFP, err := prog.Fingerprint()
+	if err != nil {
+		return "", fmt.Errorf("core: fingerprinting program: %w", err)
+	}
+	return fmt.Sprintf("rtune1|prog=%s|src=%s|params=%+v|pol=%s|pf=%s|hints=%d|warmup=%d|shift=%t|acc=%t",
+		progFP, srcID, cfg.Params, cfg.Policy, cfg.Prefetcher, cfg.Hints, cfg.WarmupBlocks, cfg.ShiftLayout, cfg.MeasureAccuracy), nil
 }
 
 // assembleTune folds the per-threshold results into a TuneResult in
@@ -320,10 +331,14 @@ func assembleTune(a *Analysis, thresholds []float64, plans []*Plan, baseline fro
 // configuration, with plan's injections applied first (nil plan = the
 // uninjected baseline). The experiment harness uses it to re-evaluate a
 // tuned plan with extra instrumentation or on a different input's trace.
+// A plan naming a block outside prog is an error.
 //
-// Injections are placed layout-neutrally (ApplyPreservingLayout): moving
-// every downstream byte would remap the hot footprint across cache sets
-// and invalidate the very profile the plan came from. Set
+// Injections are placed layout-neutrally (as ApplyPreservingLayout
+// would): moving every downstream byte would remap the hot footprint
+// across cache sets and invalidate the very profile the plan came from.
+// Such a plan runs as an overlay on prog (frontend.Options.Injections),
+// so no per-run program copy is built; only a plan that would shrink a
+// block carrying shift-placed injections needs the rewritten image. Set
 // cfg.ShiftLayout to evaluate the naive relayout instead (the `layout`
 // ablation).
 func RunPlan(prog *program.Program, src blockseq.Source, cfg TuneConfig, plan *Plan) (frontend.Result, error) {
@@ -332,11 +347,20 @@ func RunPlan(prog *program.Program, src blockseq.Source, cfg TuneConfig, plan *P
 		return frontend.Result{}, err
 	}
 	target := prog
+	var overlay map[program.BlockID][]uint64
 	if plan != nil {
-		if cfg.ShiftLayout {
+		if err := plan.Check(prog); err != nil {
+			return frontend.Result{}, err
+		}
+		switch {
+		case cfg.ShiftLayout:
 			target = plan.Apply(prog)
-		} else {
+		case prog.PlanMovesCode(plan.Injections):
 			target = plan.ApplyPreservingLayout(prog)
+		default:
+			// The overlay keeps prog's CFG and extents, which is all a
+			// prefetcher reads, so it is built from prog.
+			overlay = plan.Injections
 		}
 	}
 	pf, err := cfg.newPrefetcher(target)
@@ -349,5 +373,6 @@ func RunPlan(prog *program.Program, src blockseq.Source, cfg TuneConfig, plan *P
 		Hints:           cfg.Hints,
 		MeasureAccuracy: cfg.MeasureAccuracy,
 		WarmupBlocks:    cfg.WarmupBlocks,
+		Injections:      overlay,
 	})
 }

@@ -53,6 +53,18 @@ type Options struct {
 	// and charging one-time 260-cycle compulsory fills against a short
 	// simulation window would distort every comparison.
 	ColdHierarchy bool
+	// Injections, when non-nil, runs a padding-placed injection plan as
+	// an overlay on the simulated program, exactly as if the program had
+	// been rewritten by WithInjectionsPreservingLayout(Injections): a
+	// planned block that program.Injectable accepts executes the plan's
+	// victims instead of its own Invalidations, and every other block
+	// executes its own. The overlay never changes a block's extent, so
+	// it is exact only when the rewrite would move no code
+	// (!prog.PlanMovesCode(Injections)); callers with a plan that does
+	// must rewrite the program instead. Block IDs outside the program
+	// are an error. The map and its victim slices are read, never
+	// written, and must not change during the run.
+	Injections map[program.BlockID][]uint64
 
 	// onEvent, when set, observes every demand/prefetch event as it is
 	// issued (warmup included; AccessEvents resolves the boundary via
@@ -177,10 +189,17 @@ type sim struct {
 	// cycleF is the running cycle clock; prefetch timeliness is judged
 	// against it.
 	cycleF float64
-	// pending maps an in-flight prefetched line to the cycle its data
-	// arrives. A demand access before that cycle is a late prefetch: it
-	// stalls for the remainder and counts as a miss.
-	pending map[uint64]float64
+	// pending holds, per L1I way (set*ways + way), the cycle the data of
+	// the line the way holds arrives, or 0 when it has arrived. A demand
+	// access before that cycle is a late prefetch: it stalls for the
+	// remainder and counts as a miss. Every fill writes its way's slot
+	// and only a hit reads it, so eviction and invalidation need not
+	// clear it (docs/MODEL.md "Tuning epoch cost").
+	pending []float64
+	ways    int
+	// planned marks, one bit per block ID, the blocks whose hints come
+	// from opts.Injections rather than from the program.
+	planned []uint64
 	// missObs is the prefetcher's miss-feedback hook, if it has one
 	// (temporal record/replay designs train on the miss stream).
 	missObs prefetch.MissObserver
@@ -225,7 +244,11 @@ func runWith(p Params, prog *program.Program, src blockseq.Source, opts Options,
 		p: p, prog: prog, opts: opts,
 		l1i: l1i, outer: h,
 		res:     &res,
-		pending: make(map[uint64]float64, 1<<10),
+		pending: make([]float64, p.L1I.Sets()*p.L1I.Ways),
+		ways:    p.L1I.Ways,
+	}
+	if s.planned, err = plannedBlocks(prog, opts.Injections); err != nil {
+		return Result{}, err
 	}
 	if mo, ok := opts.Prefetcher.(prefetch.MissObserver); ok {
 		s.missObs = mo
@@ -256,8 +279,34 @@ func runWith(p Params, prog *program.Program, src blockseq.Source, opts Options,
 	return res, nil
 }
 
+// plannedBlocks builds the overlay's bitset over block IDs: bit id is set
+// when the plan rewrites block id. It is nil for an empty plan.
+func plannedBlocks(prog *program.Program, plan map[program.BlockID][]uint64) ([]uint64, error) {
+	if len(plan) == 0 {
+		return nil, nil
+	}
+	n := prog.NumBlocks()
+	bits := make([]uint64, (n+63)/64)
+	for bid, victims := range plan {
+		if bid < 0 || int(bid) >= n {
+			return nil, fmt.Errorf("frontend: injection plan names block %d; %s has %d", bid, prog.Name, n)
+		}
+		if program.Injectable(prog.Block(bid), victims) {
+			bits[bid>>6] |= 1 << (bid & 63)
+		}
+	}
+	return bits, nil
+}
+
+// hints returns the hint victims block bid executes.
+func (s *sim) hints(bid program.BlockID, b *program.Block) []uint64 {
+	if s.planned != nil && s.planned[bid>>6]&(1<<(bid&63)) != 0 {
+		return s.opts.Injections[bid]
+	}
+	return b.Invalidations
+}
+
 func (s *sim) run(src blockseq.Source) error {
-	var lineBuf [16]uint64
 	lastLine := ^uint64(0)
 	issue := s.issuePrefetch
 
@@ -272,12 +321,15 @@ func (s *sim) run(src blockseq.Source) error {
 			s.snapshotWarm()
 		}
 		b := s.prog.Block(bid)
+		hints := s.hints(bid, b)
+		nh := len(hints)
 		s.res.Blocks++
-		s.res.Instrs += uint64(b.InstrCount())
+		s.res.Instrs += uint64(b.Instrs) + uint64(nh)
 
 		// Fetch the block's lines (coalescing within-line continuation,
 		// matching DemandLines).
-		for _, l := range b.Lines(lineBuf[:0]) {
+		first, n := s.prog.BlockLines(bid)
+		for l := first; l < first+uint64(n); l++ {
 			if l == lastLine {
 				continue
 			}
@@ -287,9 +339,9 @@ func (s *sim) run(src blockseq.Source) error {
 		}
 
 		// Execute injected hints (they retire within the block).
-		if n := len(b.Invalidations); n > 0 {
-			s.res.HintInstrs += uint64(n)
-			for _, victim := range b.Invalidations {
+		if nh > 0 {
+			s.res.HintInstrs += uint64(nh)
+			for _, victim := range hints {
 				s.executeHint(victim)
 			}
 		}
@@ -301,7 +353,6 @@ func (s *sim) run(src blockseq.Source) error {
 
 		// Advance the pipeline clock by the block's base execution time;
 		// injected hints are near-free µops charged at HintCPI.
-		nh := len(b.Invalidations)
 		s.cycleF += float64(b.Instrs)*s.p.BaseCPI + float64(nh)*s.p.HintCPI
 
 		bid, ok = next, haveNext
@@ -366,21 +417,20 @@ func (s *sim) demandAccess(l uint64) {
 	}
 	ai := cache.AccessInfo{Line: l, Sig: l}
 	r := s.l1i.Access(ai)
-	if r.EvictedValid {
-		delete(s.pending, r.Evicted)
-		if s.oracle != nil {
-			s.scoreEviction(r, l, s.pos)
-		}
+	if r.EvictedValid && s.oracle != nil {
+		s.scoreEviction(r, l, s.pos)
 	}
+	// A hit consumes the way's pending prefetch; a miss refilled the way
+	// with a demand line, which has none.
+	pend := &s.pending[r.Set*s.ways+r.Way]
+	ready := *pend
+	*pend = 0
 	if r.Hit {
-		if ready, ok := s.pending[l]; ok {
-			delete(s.pending, l)
-			if ready > s.cycleF {
-				// Late prefetch: the line is allocated but its data is
-				// still in flight.
-				s.res.LateMisses++
-				s.stall(ready - s.cycleF)
-			}
+		if ready > s.cycleF {
+			// Late prefetch: the line is allocated but its data is
+			// still in flight.
+			s.res.LateMisses++
+			s.stall(ready - s.cycleF)
 		}
 		return
 	}
@@ -409,11 +459,8 @@ func (s *sim) demandAccess(l uint64) {
 func (s *sim) issuePrefetch(l uint64) {
 	ai := cache.AccessInfo{Line: l, Sig: l, Prefetch: true}
 	r := s.l1i.Access(ai)
-	if r.EvictedValid {
-		delete(s.pending, r.Evicted)
-		if s.oracle != nil {
-			s.scoreEviction(r, l, s.pos-1)
-		}
+	if r.EvictedValid && s.oracle != nil {
+		s.scoreEviction(r, l, s.pos-1)
 	}
 	if s.opts.RecordStream {
 		s.res.Stream = append(s.res.Stream, opt.Event{Line: l, Prefetch: true})
@@ -432,7 +479,8 @@ func (s *sim) issuePrefetch(l uint64) {
 		case servedMem:
 			lat = float64(s.p.MemLat)
 		}
-		s.pending[l] = s.cycleF + lat
+		// The fill replaced whatever the way held, pending or not.
+		s.pending[r.Set*s.ways+r.Way] = s.cycleF + lat
 	}
 }
 
@@ -443,9 +491,6 @@ func (s *sim) executeHint(victim uint64) {
 		acted = s.l1i.Demote(victim)
 	} else {
 		acted = s.l1i.Invalidate(victim)
-		if acted {
-			delete(s.pending, victim)
-		}
 	}
 	if acted && s.oracle != nil {
 		s.res.HintEvictions++

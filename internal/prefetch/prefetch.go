@@ -64,9 +64,8 @@ func (None) OnBlockRetire(bid, next program.BlockID, issue IssueFunc) {}
 // block it prefetches the next `degree` lines following the block's last
 // line, exploiting the spatial layout of straight-line code.
 type NLP struct {
-	prog    *program.Program
-	degree  int
-	lineBuf []uint64
+	prog   *program.Program
+	degree int
 }
 
 // NewNLP builds a next-line prefetcher with the given degree.
@@ -79,9 +78,8 @@ func (p *NLP) Name() string { return "nlp" }
 
 // OnBlockRetire implements Prefetcher.
 func (p *NLP) OnBlockRetire(bid, next program.BlockID, issue IssueFunc) {
-	b := p.prog.Block(bid)
-	p.lineBuf = b.Lines(p.lineBuf[:0])
-	last := p.lineBuf[len(p.lineBuf)-1]
+	first, n := p.prog.BlockLines(bid)
+	last := first + uint64(n) - 1
 	for d := 1; d <= p.degree; d++ {
 		issue(last + uint64(d))
 	}
@@ -104,11 +102,13 @@ type FDIP struct {
 	// Sec. II-C.
 	stepsPerRetire int
 
+	// ftq is a ring of depth entries: the queue is the n entries from
+	// head on, wrapping.
 	ftq     []program.BlockID
+	head, n int
 	runPC   program.BlockID
 	stalled bool
 	started bool
-	lineBuf []uint64
 
 	// Stats
 	Issued      uint64
@@ -124,7 +124,7 @@ func NewFDIP(prog *program.Program, cfg bpred.Config, depth int) *FDIP {
 		pred:           bpred.New(cfg),
 		depth:          depth,
 		stepsPerRetire: 2,
-		ftq:            make([]program.BlockID, 0, depth),
+		ftq:            make([]program.BlockID, depth),
 		runPC:          program.NoBlock,
 	}
 }
@@ -139,12 +139,13 @@ func (p *FDIP) Predictor() *bpred.Predictor { return p.pred }
 func (p *FDIP) OnBlockRetire(bid, next program.BlockID, issue IssueFunc) {
 	_, correct := p.pred.Retire(p.prog, bid, next)
 
-	onPath := p.started && correct && len(p.ftq) > 0 && p.ftq[0] == next
+	onPath := p.started && correct && p.n > 0 && p.ftq[p.head] == next
 	if onPath {
-		// Pop in place: reslicing off the front would make refill's
-		// append reallocate the queue over and over.
-		n := copy(p.ftq, p.ftq[1:])
-		p.ftq = p.ftq[:n]
+		p.head++
+		if p.head == p.depth {
+			p.head = 0
+		}
+		p.n--
 	} else {
 		// Squash: wrong path (or cold start) — restart the walk from the
 		// actual successor with committed predictor state.
@@ -152,7 +153,7 @@ func (p *FDIP) OnBlockRetire(bid, next program.BlockID, issue IssueFunc) {
 			p.Squashes++
 		}
 		p.started = true
-		p.ftq = p.ftq[:0]
+		p.n = 0
 		p.pred.ResyncSpec()
 		p.runPC = next
 		p.stalled = false
@@ -167,7 +168,7 @@ func (p *FDIP) refill(issue IssueFunc) {
 		// Retry: the indirect tables may have warmed since the stall.
 		p.stalled = false
 	}
-	for steps := 0; steps < p.stepsPerRetire && len(p.ftq) < p.depth && p.runPC != program.NoBlock; steps++ {
+	for steps := 0; steps < p.stepsPerRetire && p.n < p.depth && p.runPC != program.NoBlock; steps++ {
 		nb, ok := p.pred.PredictNextSpec(p.prog, p.runPC)
 		if !ok {
 			// Unpredictable target (cold indirect): the walk cannot
@@ -177,10 +178,14 @@ func (p *FDIP) refill(issue IssueFunc) {
 			p.StallCycles++
 			return
 		}
-		p.ftq = append(p.ftq, nb)
-		b := p.prog.Block(nb)
-		p.lineBuf = b.Lines(p.lineBuf[:0])
-		for _, l := range p.lineBuf {
+		tail := p.head + p.n
+		if tail >= p.depth {
+			tail -= p.depth
+		}
+		p.ftq[tail] = nb
+		p.n++
+		first, n := p.prog.BlockLines(nb)
+		for l := first; l < first+uint64(n); l++ {
 			issue(l)
 			p.Issued++
 		}

@@ -41,7 +41,23 @@ func (p *Program) Save(w io.Writer) error {
 // fingerprints are structurally identical and simulate identically, so
 // content-addressed job signatures use it to key results by what the
 // program is rather than what it is called.
+//
+// The hash describes the program as of its last Layout and is computed
+// at most once per Layout, safely from concurrent goroutines. A caller
+// that mutates a laid-out program must run Layout again before asking.
+// A program that was never laid out is not memoized: Save's error is
+// returned.
 func (p *Program) Fingerprint() (string, error) {
+	m := p.fp
+	if m == nil {
+		return p.fingerprint()
+	}
+	m.once.Do(func() { m.hash, m.err = p.fingerprint() })
+	return m.hash, m.err
+}
+
+// fingerprint hashes a fresh Save image.
+func (p *Program) fingerprint() (string, error) {
 	h := sha256.New()
 	if err := p.Save(h); err != nil {
 		return "", err

@@ -1,6 +1,9 @@
 package program_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"sync"
 	"testing"
 
 	"ripple/internal/program"
@@ -49,6 +52,16 @@ func fingerprint(t *testing.T, p *program.Program) string {
 	return fp
 }
 
+// savedHash hashes a fresh Save image, bypassing the Fingerprint memo.
+func savedHash(t *testing.T, p *program.Program) string {
+	t.Helper()
+	h := sha256.New()
+	if err := p.Save(h); err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // requireSameImage asserts got and want lay out and resolve identically.
 func requireSameImage(t *testing.T, got, want *program.Program, rng *stats.RNG) {
 	t.Helper()
@@ -87,8 +100,8 @@ func requireSameImage(t *testing.T, got, want *program.Program, rng *stats.RNG) 
 }
 
 // TestPreservingInjectionMatchesRelayout: on every catalog app and random
-// plans, the layout-skipping injection equals the full clone + Layout,
-// and leaves the parent it shares structure with untouched.
+// plans, the padding-placed injection equals a hand-written clone +
+// Layout, and leaves the parent untouched.
 func TestPreservingInjectionMatchesRelayout(t *testing.T) {
 	rng := stats.NewRNG(13)
 	for _, m := range workload.Catalog() {
@@ -97,7 +110,7 @@ func TestPreservingInjectionMatchesRelayout(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := app.Prog
-		parentFP := fingerprint(t, p)
+		parentFP := savedHash(t, p)
 		for _, k := range []int{2, 9, 50} {
 			plan := randomPlan(p, rng, k)
 			requireSameImage(t, p.WithInjectionsPreservingLayout(plan), relaidPreserving(p, plan), rng)
@@ -107,7 +120,7 @@ func TestPreservingInjectionMatchesRelayout(t *testing.T) {
 			plan2 := randomPlan(q, rng, k)
 			requireSameImage(t, q.WithInjectionsPreservingLayout(plan2), relaidPreserving(q, plan2), rng)
 		}
-		if fingerprint(t, p) != parentFP {
+		if savedHash(t, p) != parentFP {
 			t.Fatalf("%s: injecting changed the parent", m.Name)
 		}
 	}
@@ -137,5 +150,82 @@ func TestPreservingInjectionRelaysOutShiftedBlocks(t *testing.T) {
 	requireSameImage(t, got, relaidPreserving(shifted, plan), rng)
 	if got.TotalBytes() >= shifted.TotalBytes() {
 		t.Fatalf("text did not shrink: %d -> %d bytes", shifted.TotalBytes(), got.TotalBytes())
+	}
+}
+
+// TestFingerprintMemo: Fingerprint is the hash of a fresh Save image, is
+// computed once per Layout, and a mutation followed by Layout is seen.
+func TestFingerprintMemo(t *testing.T) {
+	app, err := workload.Build(workload.Catalog()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&program.Program{Name: "x"}).Fingerprint(); err == nil {
+		t.Fatal("fingerprinted a program that was never laid out")
+	}
+	p := app.Prog.Clone()
+	p.Layout(app.Prog.Base)
+	before := fingerprint(t, p)
+	if want := savedHash(t, p); before != want {
+		t.Fatalf("fingerprint %s, want the Save image's %s", before, want)
+	}
+	p.Blocks[0].Invalidations = []uint64{p.Blocks[1].FirstLine()}
+	p.Layout(p.Base)
+	after := fingerprint(t, p)
+	if after == before || after != savedHash(t, p) {
+		t.Fatalf("fingerprint after mutation + Layout: %s (before %s, Save image %s)", after, before, savedHash(t, p))
+	}
+}
+
+// TestFingerprintConcurrent: goroutines asking one program for its
+// fingerprint at once all get the Save image's hash (the race lane
+// checks the memo).
+func TestFingerprintConcurrent(t *testing.T) {
+	app, err := workload.Build(workload.Catalog()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := app.Prog
+	want := savedHash(t, p)
+	p.Layout(p.Base) // a fresh memo, so the goroutines race to fill it
+	var wg sync.WaitGroup
+	got := make([]string, 8)
+	errs := make([]error, len(got))
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = p.Fingerprint()
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil || got[i] != want {
+			t.Fatalf("goroutine %d: %s, %v; want %s", i, got[i], errs[i], want)
+		}
+	}
+}
+
+// TestBlockLinesMatchLines: the line table Layout builds agrees with
+// Block.Lines on every block of every catalog app, uninjected and under
+// both injection placements.
+func TestBlockLinesMatchLines(t *testing.T) {
+	rng := stats.NewRNG(3)
+	var buf []uint64
+	for _, m := range workload.Catalog() {
+		app, err := workload.Build(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := randomPlan(app.Prog, rng, 4)
+		for _, p := range []*program.Program{app.Prog, app.Prog.WithInjections(plan), app.Prog.WithInjectionsPreservingLayout(plan)} {
+			for i := range p.Blocks {
+				buf = p.Blocks[i].Lines(buf[:0])
+				first, n := p.BlockLines(program.BlockID(i))
+				if n != len(buf) || first != buf[0] {
+					t.Fatalf("%s block %d: BlockLines = %#x+%d, Lines = %#x", m.Name, i, first, n, buf)
+				}
+			}
+		}
 	}
 }

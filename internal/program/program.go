@@ -3,6 +3,7 @@ package program
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"ripple/internal/isa"
 )
@@ -26,6 +27,24 @@ type Program struct {
 	laidOut     bool
 	byAddr      []BlockID          // block IDs sorted by Addr, built by Layout
 	entryByAddr map[uint64]BlockID // block entry address -> ID, for TIP decode
+	lines       []blockLines       // per-block line extent, built by Layout
+	fp          *fingerprintMemo   // Fingerprint of the last Layout's image
+}
+
+// blockLines is a block's laid-out extent in cache lines: n lines
+// starting at first.
+type blockLines struct {
+	first uint64
+	n     uint32
+}
+
+// fingerprintMemo computes a laid-out program's Fingerprint at most once.
+// Layout installs a fresh one, so the memo lives exactly as long as the
+// layout it hashes.
+type fingerprintMemo struct {
+	once sync.Once
+	hash string
+	err  error
 }
 
 // Block returns the block with the given ID. It panics on an out-of-range
@@ -48,6 +67,12 @@ func (p *Program) NumBlocks() int { return len(p.Blocks) }
 // invalidations (CodeBytes), so re-running it after injection yields the
 // bloated image the paper measures in Fig. 11. Layout may be called any
 // number of times.
+//
+// Layout also snapshots what the simulators read per executed block (the
+// line extents behind BlockLines) and starts a fresh Fingerprint memo:
+// both describe the program as of this call. A caller that mutates a
+// laid-out program must run Layout again before simulating,
+// fingerprinting or saving it.
 func (p *Program) Layout(base uint64) {
 	align := uint64(p.FuncAlign)
 	if align == 0 {
@@ -74,6 +99,7 @@ func (p *Program) Layout(base uint64) {
 	}
 	p.buildIndexes()
 	p.laidOut = true
+	p.fp = new(fingerprintMemo)
 }
 
 func (p *Program) buildIndexes() {
@@ -85,9 +111,21 @@ func (p *Program) buildIndexes() {
 		return p.Blocks[p.byAddr[i]].Addr < p.Blocks[p.byAddr[j]].Addr
 	})
 	p.entryByAddr = make(map[uint64]BlockID, len(p.Blocks))
+	p.lines = make([]blockLines, len(p.Blocks))
 	for i := range p.Blocks {
-		p.entryByAddr[p.Blocks[i].Addr] = BlockID(i)
+		b := &p.Blocks[i]
+		p.entryByAddr[b.Addr] = BlockID(i)
+		p.lines[i] = blockLines{first: b.FirstLine(), n: uint32(isa.LinesSpanned(b.Addr, b.CodeBytes()))}
 	}
+}
+
+// BlockLines returns the cache lines block id occupied at the last
+// Layout: n consecutive lines starting at first. It is Block.Lines
+// without the per-call walk, for the simulators' per-executed-block
+// paths.
+func (p *Program) BlockLines(id BlockID) (first uint64, n int) {
+	l := p.lines[id]
+	return l.first, int(l.n)
 }
 
 // LaidOut reports whether Layout has been run.
@@ -189,14 +227,7 @@ func (p *Program) WithInjections(plan map[BlockID][]uint64) *Program {
 // the optimization came from; the `layout` experiment quantifies how much
 // of Ripple's accuracy that preserves. Code-size overhead still accrues
 // through InstrCount (the hints execute), but CodeBytes is unchanged.
-//
-// When no planned block's CodeBytes changes (the usual case: p carries
-// no shift-placed injections on the planned blocks), the result is built
-// without re-running Layout and shares read-only structure with p: its
-// Funcs, FuncOrder, address indexes, and the slices of every block the
-// plan does not rewrite. Only the Blocks array itself is copied. Neither
-// program may be mutated in place afterwards; Clone stays a deep copy for
-// callers that need one.
+// Like WithInjections it returns a deep copy, laid out again.
 func (p *Program) WithInjectionsPreservingLayout(plan map[BlockID][]uint64) *Program {
 	return p.inject(plan, true)
 }
@@ -205,14 +236,17 @@ func (p *Program) inject(plan map[BlockID][]uint64, preserve bool) *Program {
 	if !p.laidOut {
 		panic("program: WithInjections before Layout")
 	}
-	if preserve && !p.planMovesCode(plan) {
-		q := *p
-		q.Blocks = append([]Block(nil), p.Blocks...)
-		q.setInjections(plan, true)
-		return &q
-	}
 	q := p.clone()
-	q.setInjections(plan, preserve)
+	for bid, victims := range plan {
+		b := &q.Blocks[bid]
+		if !Injectable(b, victims) {
+			continue
+		}
+		b.Invalidations = append([]uint64(nil), victims...)
+		if preserve {
+			b.InvalidationsInPadding = true
+		}
+	}
 	q.Layout(p.Base)
 	if preserve {
 		return q // no byte moved; victim lines stay valid
@@ -230,35 +264,22 @@ func (p *Program) inject(plan map[BlockID][]uint64, preserve bool) *Program {
 	return q
 }
 
-// injectable reports whether the plan rewrites block b: Ripple never
-// injects into JIT or kernel code, and an empty victim list is no
+// Injectable reports whether a plan rewrites block b with victims: Ripple
+// never injects into JIT or kernel code, and an empty victim list is no
 // injection.
-func injectable(b *Block, victims []uint64) bool {
+func Injectable(b *Block, victims []uint64) bool {
 	return !b.JIT && !b.Kernel && len(victims) > 0
 }
 
-// setInjections gives every injectable planned block a private copy of
-// its victims, placed into padding when preserve is set.
-func (p *Program) setInjections(plan map[BlockID][]uint64, preserve bool) {
-	for bid, victims := range plan {
-		b := &p.Blocks[bid]
-		if !injectable(b, victims) {
-			continue
-		}
-		b.Invalidations = append([]uint64(nil), victims...)
-		if preserve {
-			b.InvalidationsInPadding = true
-		}
-	}
-}
-
-// planMovesCode reports whether padding-placing the plan would change
+// PlanMovesCode reports whether padding-placing the plan would change
 // some block's CodeBytes, so that the text must be laid out again: only
 // a planned block that already carries shift-placed injections does.
-func (p *Program) planMovesCode(plan map[BlockID][]uint64) bool {
+// When it reports false, the padding-placed image has p's layout
+// exactly, and differs from p only in the planned blocks' Invalidations.
+func (p *Program) PlanMovesCode(plan map[BlockID][]uint64) bool {
 	for bid, victims := range plan {
 		b := &p.Blocks[bid]
-		if injectable(b, victims) && b.CodeBytes() != b.Size {
+		if Injectable(b, victims) && b.CodeBytes() != b.Size {
 			return true
 		}
 	}
