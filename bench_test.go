@@ -13,6 +13,7 @@ import (
 
 	"ripple"
 	"ripple/internal/experiment"
+	"ripple/internal/frontend"
 )
 
 var (
@@ -187,6 +188,34 @@ func BenchmarkSimulateFDIP(b *testing.B) {
 	}
 }
 
+// runManyConfigs is the lockstep input of BenchmarkRunMany: n LRU+FDIP
+// configurations, each with its own policy and prefetcher instance.
+func runManyConfigs(prog *ripple.Program, n int) []ripple.Options {
+	opts := make([]ripple.Options, n)
+	for i := range opts {
+		pol, _ := ripple.NewPolicy("lru")
+		pf, _ := ripple.NewPrefetcher("fdip", prog)
+		opts[i] = ripple.Options{Policy: pol, Prefetcher: pf}
+	}
+	return opts
+}
+
+// BenchmarkRunMany measures ten LRU+FDIP configurations simulated in
+// lockstep: one pass over the trace, one demand-line walk and one FDIP
+// walk feeding ten L1Is. Compare with ten BenchmarkSimulateFDIP runs.
+func BenchmarkRunMany(b *testing.B) {
+	app := benchApp(b)
+	tr := app.Trace(0, 50_000)
+	params := ripple.DefaultParams()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := frontend.RunMany(params, app.Prog, ripple.SliceSource(tr), runManyConfigs(app.Prog, 10)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAnalyze measures Ripple's eviction analysis (MIN replay +
 // window scan + probability tables).
 func BenchmarkAnalyze(b *testing.B) {
@@ -255,6 +284,29 @@ func TestSimulateAllocs(t *testing.T) {
 		if avg > c.max {
 			t.Errorf("Simulate (lru, %s) allocates %.0f times per call, want <= %.0f", c.prefetcher, avg, c.max)
 		}
+	}
+}
+
+// TestRunManyAllocs pins the allocation count of one BenchmarkRunMany
+// iteration: ten configurations' fixed state (policy, prefetcher, L1I,
+// outer overlay, in-flight slots) plus the shared walks, none of it per
+// block. Measured 255 on go1.24 linux/amd64 (ten Simulate calls make
+// 290).
+func TestRunManyAllocs(t *testing.T) {
+	app, err := ripple.BuildWorkload(ripple.MustWorkload("finagle-http"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := app.Trace(0, 50_000)
+	params := ripple.DefaultParams()
+	avg := testing.AllocsPerRun(3, func() {
+		if _, err := frontend.RunMany(params, app.Prog, ripple.SliceSource(tr), runManyConfigs(app.Prog, 10)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("RunMany (10 x lru, fdip): %.0f allocs/op", avg)
+	if avg > 280 {
+		t.Errorf("RunMany allocates %.0f times per call, want <= 280", avg)
 	}
 }
 

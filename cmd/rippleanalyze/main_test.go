@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"ripple/internal/core"
 	"ripple/internal/fault"
+	"ripple/internal/program"
 	"ripple/internal/trace"
 	"ripple/internal/workload"
 )
@@ -64,6 +66,41 @@ func fixture(t *testing.T) (progPath, ptPath string) {
 		t.Fatal(err)
 	}
 	return progPath, ptPath
+}
+
+// distinctSweepRuns analyzes the fixture as the command does and counts
+// the simulations its default sweep needs: the baseline plus one per
+// distinct non-empty plan.
+func distinctSweepRuns(t *testing.T, progPath, ptPath string) int {
+	t.Helper()
+	f, err := os.Open(progPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	prog, err := program.Load(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := core.Analyze(prog, trace.FileSource(ptPath, prog), core.DefaultAnalysisConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var distinct []*core.Plan
+	for _, th := range core.DefaultThresholds() {
+		plan := a.PlanAt(th)
+		if len(plan.Injections) == 0 {
+			continue
+		}
+		seen := false
+		for _, d := range distinct {
+			seen = seen || reflect.DeepEqual(d.Injections, plan.Injections)
+		}
+		if !seen {
+			distinct = append(distinct, plan)
+		}
+	}
+	return 1 + len(distinct)
 }
 
 func baseOptions(progPath, ptPath, dir, tag string) options {
@@ -125,9 +162,10 @@ func TestGoldenReportDeterministic(t *testing.T) {
 	}
 }
 
-// TestWarmCacheRerunSkipsSimulation: with -cachedir, a second identical
-// invocation must perform zero simulations — every sweep job (baseline
-// plus one per threshold) is served from the persistent store.
+// TestWarmCacheRerunSkipsSimulation: with -cachedir, a cold run
+// simulates the baseline plus each distinct plan of the sweep once, and a
+// second identical invocation must perform zero simulations — every
+// result is served from the persistent store.
 func TestWarmCacheRerunSkipsSimulation(t *testing.T) {
 	progPath, ptPath := fixture(t)
 	dir := t.TempDir()
@@ -135,7 +173,10 @@ func TestWarmCacheRerunSkipsSimulation(t *testing.T) {
 	o.Workers = 4
 	o.CacheDir = filepath.Join(dir, "cache")
 
-	jobs := int64(len(core.DefaultThresholds())) + 1
+	jobs := int64(distinctSweepRuns(t, progPath, ptPath))
+	if jobs < 2 || jobs > int64(len(core.DefaultThresholds()))+1 {
+		t.Fatalf("%d distinct sweep runs", jobs)
+	}
 	cold, err := run(o)
 	if err != nil {
 		t.Fatal(err)

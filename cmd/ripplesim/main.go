@@ -5,7 +5,11 @@
 //
 // Comma-separated -policy/-prefetcher values sweep the cross product: the
 // configurations simulate in parallel across -j workers and print one
-// summary line each, in argument order. With -cachedir, sweep results
+// summary line each, in argument order. The policies of one prefetcher
+// simulate in lockstep groups, up to -j per prefetcher, each over one
+// decode of the trace and one prefetcher walk (TIFS, which trains on each
+// configuration's misses, keeps one per configuration). With -cachedir,
+// sweep results
 // persist in a content-addressed store keyed by the input file contents
 // and the full configuration, so repeated sweeps only simulate what
 // changed.
@@ -36,8 +40,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -55,35 +61,49 @@ import (
 )
 
 func main() {
-	progPath := flag.String("prog", "", "program image to simulate (required)")
-	ptPath := flag.String("pt", "", "PT trace from ripplegen (required)")
-	traceProgPath := flag.String("trace-prog", "", "program image the trace was recorded against, when -prog is a rewritten image (default: -prog)")
-	planPath := flag.String("plan", "", "optional injection plan from rippleanalyze")
-	policy := flag.String("policy", "lru", "replacement policy, or comma-separated list to sweep ("+strings.Join(replacement.Names(), ", ")+")")
-	prefetcher := flag.String("prefetcher", "fdip", "prefetcher, or comma-separated list to sweep ("+strings.Join(prefetch.Names(), ", ")+")")
-	warmup := flag.Int("warmup", 0, "warmup blocks excluded from measurement")
-	blocks := flag.Int("blocks", 0, "simulate only the first N trace blocks (default: whole trace)")
-	accuracy := flag.Bool("accuracy", false, "score replacement decisions against the Belady oracle")
-	ideal := flag.Bool("ideal", false, "also report the ideal (Demand-MIN) miss count for this configuration's access stream")
-	oracleEngine := flag.String("oracle", "exact", "oracle engine for -ideal: exact (two-pass streaming Belady) or sampled (single-pass sampled-set OPTGen estimate)")
-	oracleSets := flag.Int("oracle-sets", 0, "sampled-set budget for -oracle sampled (default 64)")
-	demote := flag.Bool("demote", false, "execute hints as LRU demotions instead of invalidations")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of the report")
-	workers := flag.Int("j", 0, "parallel workers for sweep mode (default GOMAXPROCS)")
-	cachedir := flag.String("cachedir", "", "persistent result store for sweep mode (default: none)")
-	storeURL := flag.String("store", "", "rippled URL for a shared fleet result store in sweep mode (e.g. http://127.0.0.1:8344); mutually exclusive with -cachedir")
-	rec := flag.Bool("recover", false, "resynchronize past damaged trace regions instead of failing")
-	index := flag.Bool("index", false, "replay through the .ptidx seek index (built on the fly if absent or stale); conflicts with -recover")
-	useMmap := flag.Bool("mmap", true, "memory-map the trace for zero-copy decode (ReadAt fallback when disabled or unsupported by the platform)")
-	decoders := flag.Int("decoders", 1, "decode this many PSB sync regions concurrently per pass (> 1 requires -mmap)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command over explicit arguments and output streams,
+// so tests drive it in-process. It returns the process exit code: 2 for
+// a bad flag, 1 for a runtime error, 0 otherwise.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ripplesim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	progPath := fs.String("prog", "", "program image to simulate (required)")
+	ptPath := fs.String("pt", "", "PT trace from ripplegen (required)")
+	traceProgPath := fs.String("trace-prog", "", "program image the trace was recorded against, when -prog is a rewritten image (default: -prog)")
+	planPath := fs.String("plan", "", "optional injection plan from rippleanalyze")
+	policy := fs.String("policy", "lru", "replacement policy, or comma-separated list to sweep ("+strings.Join(replacement.Names(), ", ")+")")
+	prefetcher := fs.String("prefetcher", "fdip", "prefetcher, or comma-separated list to sweep ("+strings.Join(prefetch.Names(), ", ")+")")
+	warmup := fs.Int("warmup", 0, "warmup blocks excluded from measurement")
+	blocks := fs.Int("blocks", 0, "simulate only the first N trace blocks (default: whole trace)")
+	accuracy := fs.Bool("accuracy", false, "score replacement decisions against the Belady oracle")
+	ideal := fs.Bool("ideal", false, "also report the ideal (Demand-MIN) miss count for this configuration's access stream")
+	oracleEngine := fs.String("oracle", "exact", "oracle engine for -ideal: exact (two-pass streaming Belady) or sampled (single-pass sampled-set OPTGen estimate)")
+	oracleSets := fs.Int("oracle-sets", 0, "sampled-set budget for -oracle sampled (default 64)")
+	demote := fs.Bool("demote", false, "execute hints as LRU demotions instead of invalidations")
+	jsonOut := fs.Bool("json", false, "emit machine-readable JSON instead of the report")
+	workers := fs.Int("j", 0, "parallel workers for sweep mode (default GOMAXPROCS)")
+	cachedir := fs.String("cachedir", "", "persistent result store for sweep mode (default: none)")
+	storeURL := fs.String("store", "", "rippled URL for a shared fleet result store in sweep mode (e.g. http://127.0.0.1:8344); mutually exclusive with -cachedir")
+	rec := fs.Bool("recover", false, "resynchronize past damaged trace regions instead of failing")
+	index := fs.Bool("index", false, "replay through the .ptidx seek index (built on the fly if absent or stale); conflicts with -recover")
+	useMmap := fs.Bool("mmap", true, "memory-map the trace for zero-copy decode (ReadAt fallback when disabled or unsupported by the platform)")
+	decoders := fs.Int("decoders", 1, "decode this many PSB sync regions concurrently per pass (> 1 requires -mmap)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	policies := strings.Split(*policy, ",")
 	prefetchers := strings.Split(*prefetcher, ",")
 	// -blocks 0 legitimately means "simulate nothing", so "unset" must be
 	// distinguished from the zero value (the flag.Visit discipline).
 	limit := -1
-	if cliflag.Passed("blocks") {
+	if cliflag.PassedIn(fs, "blocks") {
 		limit = *blocks
 	}
 	fo := trace.FileOptions{NoMmap: !*useMmap, Decoders: *decoders}
@@ -100,20 +120,22 @@ func main() {
 		if *ideal {
 			err = fmt.Errorf("-ideal is only available in single-configuration mode, not sweeps")
 		} else {
-			err = sweep(*progPath, *traceProgPath, *ptPath, *planPath, policies, prefetchers,
+			err = sweep(stdout, stderr, *progPath, *traceProgPath, *ptPath, *planPath, policies, prefetchers,
 				limit, *warmup, *accuracy, *demote, *jsonOut, *workers, *cachedir, *storeURL, *rec, *index, fo)
 		}
 	} else {
-		err = run(*progPath, *traceProgPath, *ptPath, *planPath, *policy, *prefetcher, limit, *warmup,
+		err = simulate(stdout, *progPath, *traceProgPath, *ptPath, *planPath, *policy, *prefetcher, limit, *warmup,
 			*accuracy, *demote, *jsonOut, *rec, *index, *ideal, *oracleEngine, *oracleSets, fo)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ripplesim:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "ripplesim:", err)
+		return 1
 	}
+	return 0
 }
 
-func run(progPath, traceProgPath, ptPath, planPath, policy, prefetcher string, limit, warmup int,
+// simulate runs one configuration and prints its report.
+func simulate(stdout io.Writer, progPath, traceProgPath, ptPath, planPath, policy, prefetcher string, limit, warmup int,
 	accuracy, demote, jsonOut, rec, indexed, ideal bool, oracleEngine string, oracleSets int, fo trace.FileOptions) error {
 	if progPath == "" || ptPath == "" {
 		return fmt.Errorf("-prog and -pt are required")
@@ -139,7 +161,7 @@ func run(progPath, traceProgPath, ptPath, planPath, policy, prefetcher string, l
 			return err
 		}
 		prog = plan.Apply(prog)
-		fmt.Printf("applied plan: %d invalidate instructions in %d cue blocks\n",
+		fmt.Fprintf(stdout, "applied plan: %d invalidate instructions in %d cue blocks\n",
 			plan.StaticInstructions(), len(plan.Injections))
 	}
 
@@ -174,36 +196,36 @@ func run(progPath, traceProgPath, ptPath, planPath, policy, prefetcher string, l
 	}
 
 	if jsonOut {
-		return emitJSON(res, coverageOf(reporter), idealRep)
+		return emitJSON(stdout, res, coverageOf(reporter), idealRep)
 	}
-	fmt.Printf("%s: %s prefetcher, %s replacement\n", res.Program, res.Prefetcher, res.Policy)
-	printCoverage(reporter)
-	fmt.Printf("  instructions: %d (%d injected hints, %.2f%% dynamic overhead)\n",
+	fmt.Fprintf(stdout, "%s: %s prefetcher, %s replacement\n", res.Program, res.Prefetcher, res.Policy)
+	printCoverage(stdout, reporter)
+	fmt.Fprintf(stdout, "  instructions: %d (%d injected hints, %.2f%% dynamic overhead)\n",
 		res.Instrs, res.HintInstrs, core.DynamicOverheadPct(res))
-	fmt.Printf("  cycles: %d  IPC: %.3f\n", res.Cycles, res.IPC())
-	fmt.Printf("  L1I MPKI: %.2f (misses %d, late prefetches %d, compulsory %d)\n",
+	fmt.Fprintf(stdout, "  cycles: %d  IPC: %.3f\n", res.Cycles, res.IPC())
+	fmt.Fprintf(stdout, "  L1I MPKI: %.2f (misses %d, late prefetches %d, compulsory %d)\n",
 		res.MPKI(), res.L1I.DemandMisses, res.LateMisses, res.Compulsory)
-	fmt.Printf("  miss breakdown: L2 %d, L3 %d, memory %d\n", res.L2Hits, res.L3Hits, res.MemFills)
+	fmt.Fprintf(stdout, "  miss breakdown: L2 %d, L3 %d, memory %d\n", res.L2Hits, res.L3Hits, res.MemFills)
 	if res.L1I.HintInvalidations+res.L1I.Demotions > 0 {
-		fmt.Printf("  ripple: coverage %.1f%% (%d hint evictions, %d hints found no victim)\n",
+		fmt.Fprintf(stdout, "  ripple: coverage %.1f%% (%d hint evictions, %d hints found no victim)\n",
 			res.Coverage()*100, res.L1I.HintFreedFills, res.L1I.HintMisses)
 	}
 	if idealRep != nil {
-		fmt.Printf("  ideal replacement (demand-min, %s): %d misses", idealRep.Engine, idealRep.Misses)
+		fmt.Fprintf(stdout, "  ideal replacement (demand-min, %s): %d misses", idealRep.Engine, idealRep.Misses)
 		if idealRep.Engine == "sampled" {
-			fmt.Printf(" estimated from %d/%d sets (history %d)", idealRep.SampleSets, idealRep.TotalSets, idealRep.History)
+			fmt.Fprintf(stdout, " estimated from %d/%d sets (history %d)", idealRep.SampleSets, idealRep.TotalSets, idealRep.History)
 		}
-		fmt.Printf("; this policy took %d\n", res.L1I.DemandMisses)
+		fmt.Fprintf(stdout, "; this policy took %d\n", res.L1I.DemandMisses)
 	}
 	if accuracy {
-		fmt.Printf("  accuracy: policy %.1f%%", res.PolicyAccuracy()*100)
+		fmt.Fprintf(stdout, "  accuracy: policy %.1f%%", res.PolicyAccuracy()*100)
 		if res.HintEvictions > 0 {
-			fmt.Printf(", ripple %.1f%%, combined %.1f%%", res.HintAccuracy()*100, res.CombinedAccuracy()*100)
+			fmt.Fprintf(stdout, ", ripple %.1f%%, combined %.1f%%", res.HintAccuracy()*100, res.CombinedAccuracy()*100)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if res.BranchMPKI > 0 {
-		fmt.Printf("  branch MPKI: %.2f\n", res.BranchMPKI)
+		fmt.Fprintf(stdout, "  branch MPKI: %.2f\n", res.BranchMPKI)
 	}
 	return nil
 }
@@ -214,7 +236,7 @@ func run(progPath, traceProgPath, ptPath, planPath, policy, prefetcher string, l
 // they are keyed by the SHA-256 of the input files plus the full
 // configuration, so editing the trace or plan invalidates exactly the
 // affected entries.
-func sweep(progPath, traceProgPath, ptPath, planPath string, policies, prefetchers []string,
+func sweep(stdout, stderr io.Writer, progPath, traceProgPath, ptPath, planPath string, policies, prefetchers []string,
 	limit, warmup int, accuracy, demote, jsonOut bool, workers int, cachedir, storeURL string, rec, indexed bool, fo trace.FileOptions) error {
 	if progPath == "" || ptPath == "" {
 		return fmt.Errorf("-prog and -pt are required")
@@ -270,7 +292,7 @@ func sweep(progPath, traceProgPath, ptPath, planPath string, policies, prefetche
 
 	var store runner.StoreBackend
 	if storeURL != "" {
-		cl, cerr := rippled.NewClient(storeURL, rippled.ClientOptions{Log: os.Stderr})
+		cl, cerr := rippled.NewClient(storeURL, rippled.ClientOptions{Log: stderr})
 		if cerr != nil {
 			return cerr
 		}
@@ -282,71 +304,111 @@ func sweep(progPath, traceProgPath, ptPath, planPath string, policies, prefetche
 		}
 		store = st
 	}
-	pool := runner.New(runner.Options{Workers: workers, Store: store, Log: os.Stderr})
+	pool := runner.New(runner.Options{Workers: workers, Store: store, Log: stderr})
 	hints := frontend.HintInvalidate
 	if demote {
 		hints = frontend.HintDemote
 	}
-	job := func(pol, pf string) runner.Job {
-		sig := fmt.Sprintf("%s|pol=%s|pf=%s", base, pol, pf)
-		cost := 1.0
-		if n, ok := blockseq.LenHint(tr); ok {
-			cost = float64(n)
-		}
-		return runner.NewJob(sig, pol+"/"+pf, cost,
-			func(context.Context) (*frontend.Result, error) {
-				p, err := replacement.New(pol)
-				if err != nil {
-					return nil, err
-				}
-				pre, err := prefetch.New(pf, prog)
-				if err != nil {
-					return nil, err
-				}
-				r, err := frontend.Run(params, prog, tr, frontend.Options{
-					Policy:          p,
-					Prefetcher:      pre,
-					Hints:           hints,
-					MeasureAccuracy: accuracy,
-					WarmupBlocks:    warmup,
-				})
-				if err != nil {
-					return nil, err
-				}
-				return &r, nil
-			})
+	sig := func(pol, pf string) string { return fmt.Sprintf("%s|pol=%s|pf=%s", base, pol, pf) }
+	blocks := 1.0
+	if n, ok := blockseq.LenHint(tr); ok {
+		blocks = float64(n)
 	}
-	var jobs []runner.Job
-	for _, pol := range policies {
-		for _, pf := range prefetchers {
-			jobs = append(jobs, job(pol, pf))
+	// A lockstep job runs some of one prefetcher's policies over one
+	// decode and, except for TIFS (which trains on each configuration's
+	// misses), one prefetcher walk. Each prefetcher's policies are dealt
+	// into up to Workers jobs: prefetchers differ in cost (an FDIP group
+	// takes about three times a group without prefetching), so one job
+	// per prefetcher would leave workers idle behind the costliest.
+	type cell struct{ pol, pf int } // indices into policies and prefetchers
+	var groups [][]cell
+	for j := range prefetchers {
+		for _, members := range runner.Split(len(policies), pool.Workers()) {
+			grp := make([]cell, len(members))
+			for k, i := range members {
+				grp[k] = cell{i, j}
+			}
+			groups = append(groups, grp)
 		}
 	}
-	ctx := context.Background()
-	if err := pool.RunAll(ctx, jobs); err != nil {
+	g := pool.NewGroup(context.Background())
+	futs := make([]*runner.Future, len(groups))
+	for n, grp := range groups {
+		sigs := make([]string, len(grp))
+		label := make([]string, len(grp))
+		for k, c := range grp {
+			sigs[k] = sig(policies[c.pol], prefetchers[c.pf])
+			label[k] = policies[c.pol]
+		}
+		pf := prefetchers[grp[0].pf]
+		futs[n] = g.SubmitMulti(runner.NewMultiJob(sigs, strings.Join(label, ",")+"/"+pf, blocks*float64(len(grp)),
+			func(_ context.Context, want []int) ([]*frontend.Result, error) {
+				opts := make([]frontend.Options, len(want))
+				for k, w := range want {
+					p, err := replacement.New(policies[grp[w].pol])
+					if err != nil {
+						return nil, err
+					}
+					pre, err := prefetch.New(pf, prog)
+					if err != nil {
+						return nil, err
+					}
+					opts[k] = frontend.Options{
+						Policy:          p,
+						Prefetcher:      pre,
+						Hints:           hints,
+						MeasureAccuracy: accuracy,
+						WarmupBlocks:    warmup,
+					}
+				}
+				rs, err := frontend.RunMany(params, prog, tr, opts)
+				if err != nil {
+					return nil, err
+				}
+				out := make([]*frontend.Result, len(rs))
+				for k := range rs {
+					out[k] = &rs[k]
+				}
+				return out, nil
+			}))
+	}
+	if err := g.Wait(); err != nil {
 		return err
 	}
+	st := pool.Stats()
+	fmt.Fprintf(stderr, "[ripplesim] sweep: %d results — %d computed, %d store hits, %d coalesced (%d workers)\n",
+		len(policies)*len(prefetchers), st.Computed, st.StoreHits, st.MemHits, pool.Workers())
+	results := make([][]frontend.Result, len(policies))
+	for i := range results {
+		results[i] = make([]frontend.Result, len(prefetchers))
+	}
+	for n, f := range futs {
+		vs, err := f.Get()
+		if err != nil {
+			return err
+		}
+		for k, v := range vs.([]any) {
+			c := groups[n][k]
+			results[c.pol][c.pf] = *(v.(*frontend.Result))
+		}
+	}
 	if !jsonOut {
-		printCoverage(reporter)
+		printCoverage(stdout, reporter)
 	}
 	var out []map[string]interface{}
-	for _, pol := range policies {
-		for _, pf := range prefetchers {
-			v, err := pool.Do(ctx, job(pol, pf))
-			if err != nil {
-				return err
-			}
-			res := *(v.(*frontend.Result))
+	for i, pol := range policies {
+		for j, pf := range prefetchers {
+			res := results[i][j]
 			if jsonOut {
 				out = append(out, withCoverage(resultJSON(res), coverageOf(reporter)))
 				continue
 			}
-			fmt.Printf("%-10s %-10s IPC %.3f  MPKI %6.2f  cycles %d\n",
+			fmt.Fprintf(stdout, "%-10s %-10s IPC %.3f  MPKI %6.2f  cycles %d\n",
 				pol, pf, res.IPC(), res.MPKI(), res.Cycles)
 		}
 	}
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(out)
 	}
@@ -413,7 +475,7 @@ func idealOf(prog *program.Program, tr blockseq.Source, policy, prefetcher strin
 
 // emitJSON writes the run's metrics as a single JSON object, for scripted
 // consumers (dashboards, regression checks).
-func emitJSON(res frontend.Result, cov *trace.DecodeReport, ideal *idealReport) error {
+func emitJSON(w io.Writer, res frontend.Result, cov *trace.DecodeReport, ideal *idealReport) error {
 	m := withCoverage(resultJSON(res), cov)
 	if ideal != nil {
 		m["ideal_misses"] = ideal.Misses
@@ -422,7 +484,7 @@ func emitJSON(res frontend.Result, cov *trace.DecodeReport, ideal *idealReport) 
 			m["ideal_sample_sets"] = ideal.SampleSets
 		}
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(m)
 }
@@ -452,16 +514,16 @@ func withCoverage(m map[string]interface{}, cov *trace.DecodeReport) map[string]
 }
 
 // printCoverage reports trace damage on the human-readable path.
-func printCoverage(reporter trace.Reporting) {
+func printCoverage(w io.Writer, reporter trace.Reporting) {
 	cov := coverageOf(reporter)
 	if cov == nil {
 		return
 	}
-	fmt.Printf("  trace coverage: %.2f%% of declared profile (%d of %d blocks", cov.Coverage()*100, cov.Decoded, cov.Declared)
+	fmt.Fprintf(w, "  trace coverage: %.2f%% of declared profile (%d of %d blocks", cov.Coverage()*100, cov.Decoded, cov.Declared)
 	if len(cov.Regions) > 0 {
-		fmt.Printf("; %d damaged regions, %d blocks lost", len(cov.Regions), cov.BlocksLost())
+		fmt.Fprintf(w, "; %d damaged regions, %d blocks lost", len(cov.Regions), cov.BlocksLost())
 	}
-	fmt.Println(")")
+	fmt.Fprintln(w, ")")
 }
 
 // resultJSON flattens a result into the JSON schema emitJSON documents.

@@ -268,14 +268,15 @@ func drain(t *testing.T, seq blockseq.Seq) []program.BlockID {
 	}
 }
 
-// CountingSource wraps a source and counts every block its passes yield,
-// forwarding LenHint and the Seeker/Checkpointer capabilities of the
+// CountingSource wraps a source and counts every block its passes yield
+// and every pass opened, forwarding LenHint and the Seeker/Checkpointer capabilities of the
 // wrapped passes. Perf tests wrap a source with it to assert how much
 // replay work a consumer actually performed; wrapping it in
 // OpaqueSource hides the capabilities to exercise fallback paths.
 type CountingSource struct {
-	Src blockseq.Source
-	n   atomic.Uint64
+	Src   blockseq.Source
+	n     atomic.Uint64
+	opens atomic.Uint64
 }
 
 // Count wraps src in a CountingSource.
@@ -284,8 +285,14 @@ func Count(src blockseq.Source) *CountingSource { return &CountingSource{Src: sr
 // Blocks returns the total blocks yielded across all passes so far.
 func (c *CountingSource) Blocks() uint64 { return c.n.Load() }
 
+// Opens returns the number of passes opened so far.
+func (c *CountingSource) Opens() uint64 { return c.opens.Load() }
+
 // Open implements blockseq.Source.
-func (c *CountingSource) Open() blockseq.Seq { return &countingSeq{seq: c.Src.Open(), c: c} }
+func (c *CountingSource) Open() blockseq.Seq {
+	c.opens.Add(1)
+	return &countingSeq{seq: c.Src.Open(), c: c}
+}
 
 // LenHint forwards the wrapped source's hint.
 func (c *CountingSource) LenHint() (int, bool) { return blockseq.LenHint(c.Src) }

@@ -387,14 +387,22 @@ func (p *Predictor) ResyncSpec() {
 	p.specRAS.copyFrom(&p.committedRAS)
 }
 
+// Mispredicts returns the control-flow mispredictions counted so far:
+// conditional, indirect and return.
+func (p *Predictor) Mispredicts() uint64 {
+	return p.CondMispredicts + p.IndMispredicts + p.RetMispredicts
+}
+
+// Config returns the configuration the predictor was built with.
+func (p *Predictor) Config() Config { return p.cfg }
+
 // MispredictRate returns the overall control-flow misprediction rate.
 func (p *Predictor) MispredictRate() float64 {
 	tot := p.CondPredictions + p.IndPredictions + p.RetPredictions
 	if tot == 0 {
 		return 0
 	}
-	mis := p.CondMispredicts + p.IndMispredicts + p.RetMispredicts
-	return float64(mis) / float64(tot)
+	return float64(p.Mispredicts()) / float64(tot)
 }
 
 func bump(c *uint8, up bool) {

@@ -256,7 +256,9 @@ func TestTuneCheckpointedMatchesOpaque(t *testing.T) {
 
 // TestCheckpointedTuningDecodesWarmupOnce is the acceptance accounting:
 // across a baseline plus >= 8 threshold candidates, the warmup prefix is
-// generated exactly once, and every run re-generates only the tail.
+// generated exactly once, and every pass re-generates only the tail. The
+// serial sweep simulates all its runs in one lockstep pass; the parallel
+// one makes one pass per lockstep group.
 func TestCheckpointedTuningDecodesWarmupOnce(t *testing.T) {
 	app := replayApp(t)
 	const blocks, warmup = 6_000, 1_000
@@ -284,18 +286,28 @@ func TestCheckpointedTuningDecodesWarmupOnce(t *testing.T) {
 	}
 	tcfg.Params.L1I = cfg.L1I
 
-	counted := blockseqtest.Count(app.Stream(0, blocks))
-	if _, err := Tune(a, counted, tcfg); err != nil {
-		t.Fatal(err)
-	}
-	runs := uint64(len(thresholds) + 1) // baseline + one per threshold
-	want := warmup + runs*(n-warmup)
-	if got := counted.Blocks(); got != want {
-		t.Fatalf("tuning generated %d blocks, want %d (warmup %d once + %d runs x %d tail)",
-			got, want, warmup, runs, n-warmup)
-	}
-	// The seed path would have generated runs * n.
-	if seed := runs * n; counted.Blocks() >= seed {
-		t.Fatalf("tuning generated %d blocks, no better than the seed's %d", counted.Blocks(), seed)
+	for _, workers := range []int{0, 3} {
+		counted := blockseqtest.Count(app.Stream(0, blocks))
+		opts := ParallelOptions{}
+		if workers > 0 {
+			opts.Pool = runner.New(runner.Options{Workers: workers})
+		}
+		if _, err := TuneParallel(a, counted, tcfg, opts); err != nil {
+			t.Fatal(err)
+		}
+		runs := uint64(len(thresholds) + 1) // baseline + one per threshold
+		passes := uint64(1)
+		if workers > 0 {
+			passes = uint64(min(workers, sweepRunCount(a, thresholds)))
+		}
+		want := warmup + passes*(n-warmup)
+		if got := counted.Blocks(); got != want {
+			t.Fatalf("workers=%d: tuning generated %d blocks, want %d (warmup %d once + %d passes x %d tail)",
+				workers, got, want, warmup, passes, n-warmup)
+		}
+		// The seed path would have generated runs * n.
+		if seed := runs * n; counted.Blocks() >= seed {
+			t.Fatalf("tuning generated %d blocks, no better than the seed's %d", counted.Blocks(), seed)
+		}
 	}
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sync/atomic"
 
 	"ripple/internal/blockseq"
@@ -121,12 +123,19 @@ type ParallelOptions struct {
 var anonSource atomic.Int64
 
 // TuneParallel is Tune with every simulation — the uninjected baseline
-// and one run per candidate threshold — submitted as an independent,
-// content-signed job to opts.Pool. Each job is keyed by the full run
-// signature (program fingerprint, plan digest + threshold, policy,
-// prefetcher, machine params, warmup, hint mode, and the source
-// identity), so equal sweeps coalesce in-process and, with a persistent
-// store, warm reruns perform zero simulations.
+// and one run per distinct candidate plan — submitted as content-signed
+// work to opts.Pool. Each run is keyed by the full run signature
+// (program fingerprint, plan digest + threshold, policy, prefetcher,
+// machine params, warmup, hint mode, and the source identity), so equal
+// sweeps coalesce in-process and, with a persistent store, warm reruns
+// perform zero simulations.
+//
+// A sweep pays once for the work its runs share. Thresholds whose plans
+// inject the same victims into the same blocks simulate once, under the
+// signature of the lowest such threshold, and an empty plan is the
+// baseline. The distinct runs are split into at most one lockstep group
+// per pool worker, dealt round-robin (runner.Split); each group is one
+// frontend.RunMany over one decode of the source.
 //
 // Output is byte-identical to the serial sweep for any worker count:
 // results are folded in sweep order, and Best resolves explicitly
@@ -144,31 +153,71 @@ func TuneParallel(a *Analysis, src blockseq.Source, cfg TuneConfig, opts Paralle
 	for i, th := range thresholds {
 		plans[i] = a.PlanAt(th)
 	}
+	runs, runOf := distinctRuns(thresholds, plans)
 
 	// Pay the warmup prefix once: a checkpoint-capable source splits into
-	// a buffered prefix plus a resumable tail, so the baseline and every
-	// threshold run re-generate only the tail. The split changes the
-	// source object captured in the run closures, never the block sequence
-	// or the content identity, so job signatures — and warm stores keyed
-	// by them — are untouched.
+	// a buffered prefix plus a resumable tail, so every lockstep group
+	// re-generates only the tail. The split changes the source object
+	// captured in the run closures, never the block sequence or the
+	// content identity, so job signatures — and warm stores keyed by
+	// them — are untouched.
 	runSrc := warmupSource(src, cfg.WarmupBlocks)
 
-	var baseline frontend.Result
-	results := make([]frontend.Result, len(thresholds))
+	var done []frontend.Result
+	var err error
 	if opts.Pool == nil {
-		var err error
-		if baseline, err = RunPlan(a.Prog, runSrc, cfg, nil); err != nil {
-			return nil, err
-		}
-		for i, plan := range plans {
-			if results[i], err = RunPlan(a.Prog, runSrc, cfg, plan); err != nil {
-				return nil, err
-			}
-		}
-	} else if err := runSweepJobs(a, runSrc, cfg, opts, thresholds, plans, &baseline, results); err != nil {
+		done, err = runLockstep(a.Prog, runSrc, cfg, runs)
+	} else {
+		done, err = runSweepJobs(a, runSrc, cfg, opts, runs)
+	}
+	if err != nil {
 		return nil, err
 	}
-	return assembleTune(a, thresholds, plans, baseline, results), nil
+	results := make([]frontend.Result, len(thresholds))
+	for i, r := range runOf {
+		results[i] = done[r]
+	}
+	return assembleTune(a, thresholds, plans, done[0], results), nil
+}
+
+// sweepRun is one distinct simulation of a sweep: the baseline (nil
+// plan), or a plan together with the lowest threshold that yields it.
+type sweepRun struct {
+	plan      *Plan
+	threshold float64
+}
+
+// distinctRuns lists a sweep's distinct simulations, the baseline first,
+// and maps each threshold to the run that yields its result. Plans with
+// equal Injections simulate identically, whatever else of the plan
+// differs, since RunPlan reads only the injections; an empty plan runs
+// exactly the uninjected program, under either placement
+// (TestEmptyPlanIsBaseline). A group of equal plans runs as its lowest
+// threshold's plan, so its signature is the one that threshold had when
+// every threshold ran on its own.
+func distinctRuns(thresholds []float64, plans []*Plan) ([]sweepRun, []int) {
+	runs := []sweepRun{{}}
+	runOf := make([]int, len(plans))
+	for i, plan := range plans {
+		if len(plan.Injections) == 0 {
+			continue // runOf[i] = 0: the baseline
+		}
+		runOf[i] = -1
+		for r := 1; r < len(runs); r++ {
+			if maps.EqualFunc(runs[r].plan.Injections, plan.Injections, slices.Equal[[]uint64]) {
+				runOf[i] = r
+				if thresholds[i] < runs[r].threshold {
+					runs[r] = sweepRun{plan: plan, threshold: thresholds[i]}
+				}
+				break
+			}
+		}
+		if runOf[i] < 0 {
+			runOf[i] = len(runs)
+			runs = append(runs, sweepRun{plan: plan, threshold: thresholds[i]})
+		}
+	}
+	return runs, runOf
 }
 
 // warmupSource returns a source equivalent to src whose passes pay the
@@ -202,10 +251,10 @@ func warmupSource(src blockseq.Source, warmup int) blockseq.Source {
 	return blockseq.Concat(blockseq.SliceSource(warm), blockseq.Resume(src, mark))
 }
 
-// runSweepJobs fans the sweep out across the pool and collects every
-// result back into sweep order.
-func runSweepJobs(a *Analysis, src blockseq.Source, cfg TuneConfig, opts ParallelOptions,
-	thresholds []float64, plans []*Plan, baseline *frontend.Result, results []frontend.Result) error {
+// runSweepJobs runs the sweep's distinct simulations as lockstep groups
+// on the pool, one multi-result job per group, and returns their results
+// in run order.
+func runSweepJobs(a *Analysis, src blockseq.Source, cfg TuneConfig, opts ParallelOptions, runs []sweepRun) ([]frontend.Result, error) {
 	srcID := opts.SourceID
 	skipStore := false
 	if srcID == "" {
@@ -216,52 +265,66 @@ func runSweepJobs(a *Analysis, src blockseq.Source, cfg TuneConfig, opts Paralle
 	}
 	base, err := tuneSignature(a.Prog, srcID, cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	cost := float64(a.TraceBlocks)
+	sigs := make([]string, len(runs))
+	for r, run := range runs {
+		if run.plan == nil {
+			sigs[r] = base + "|plan=none"
+			continue
+		}
+		dg, err := run.plan.digest()
+		if err != nil {
+			return nil, fmt.Errorf("core: digesting plan: %w", err)
+		}
+		sigs[r] = fmt.Sprintf("%s|th=%g|plan=%s", base, run.threshold, dg)
+	}
+
+	cost := float64(a.TraceBlocks) // per run
 	if cfg.MeasureAccuracy {
 		cost *= 1.5
 	}
-
-	job := func(sig, label string, plan *Plan) runner.Job {
-		j := runner.NewJob(sig, label, cost, func(context.Context) (*frontend.Result, error) {
-			res, err := RunPlan(a.Prog, src, cfg, plan)
-			if err != nil {
-				return nil, err
-			}
-			return &res, nil
-		})
-		j.SkipStore = skipStore
-		return j
-	}
-
+	groups := runner.Split(len(runs), opts.Pool.Workers())
 	g := opts.Pool.NewGroup(opts.Ctx)
-	fb := g.Submit(job(base+"|plan=none", fmt.Sprintf("tune %s baseline", a.Prog.Name), nil))
-	futs := make([]*runner.Future, len(thresholds))
-	for i, th := range thresholds {
-		dg, err := plans[i].digest()
-		if err != nil {
-			return fmt.Errorf("core: digesting plan: %w", err)
+	futs := make([]*runner.Future, len(groups))
+	for k, members := range groups {
+		gsigs := make([]string, len(members))
+		for i, r := range members {
+			gsigs[i] = sigs[r]
 		}
-		sig := fmt.Sprintf("%s|th=%g|plan=%s", base, th, dg)
-		futs[i] = g.Submit(job(sig, fmt.Sprintf("tune %s th=%.2f", a.Prog.Name, th), plans[i]))
+		j := runner.NewMultiJob(gsigs, fmt.Sprintf("tune %s group %d/%d (%d runs)", a.Prog.Name, k+1, len(groups), len(members)), cost*float64(len(members)),
+			func(_ context.Context, want []int) ([]*frontend.Result, error) {
+				sub := make([]sweepRun, len(want))
+				for i, w := range want {
+					sub[i] = runs[members[w]]
+				}
+				res, err := runLockstep(a.Prog, src, cfg, sub)
+				if err != nil {
+					return nil, err
+				}
+				out := make([]*frontend.Result, len(res))
+				for i := range res {
+					out[i] = &res[i]
+				}
+				return out, nil
+			})
+		j.SkipStore = skipStore
+		futs[k] = g.SubmitMulti(j)
 	}
 	if err := g.Wait(); err != nil {
-		return err
+		return nil, err
 	}
-	v, err := fb.Get()
-	if err != nil {
-		return err
-	}
-	*baseline = *(v.(*frontend.Result))
-	for i, f := range futs {
+	out := make([]frontend.Result, len(runs))
+	for k, f := range futs {
 		v, err := f.Get()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		results[i] = *(v.(*frontend.Result))
+		for i, res := range v.([]any) {
+			out[groups[k][i]] = *(res.(*frontend.Result))
+		}
 	}
-	return nil
+	return out, nil
 }
 
 // tuneSignature is the part of a sweep job's signature shared by every
@@ -342,37 +405,60 @@ func assembleTune(a *Analysis, thresholds []float64, plans []*Plan, baseline fro
 // cfg.ShiftLayout to evaluate the naive relayout instead (the `layout`
 // ablation).
 func RunPlan(prog *program.Program, src blockseq.Source, cfg TuneConfig, plan *Plan) (frontend.Result, error) {
-	pol, err := cfg.newPolicy()
+	o, err := planOptions(prog, cfg, plan)
 	if err != nil {
 		return frontend.Result{}, err
 	}
+	return frontend.Run(cfg.Params, prog, src, o)
+}
+
+// runLockstep simulates every run of a sweep in one frontend.RunMany:
+// each is RunPlan of its plan, over one decode of src.
+func runLockstep(prog *program.Program, src blockseq.Source, cfg TuneConfig, runs []sweepRun) ([]frontend.Result, error) {
+	opts := make([]frontend.Options, len(runs))
+	for i, r := range runs {
+		var err error
+		if opts[i], err = planOptions(prog, cfg, r.plan); err != nil {
+			return nil, err
+		}
+	}
+	return frontend.RunMany(cfg.Params, prog, src, opts)
+}
+
+// planOptions is the simulator configuration RunPlan runs plan with:
+// an overlay on prog, or the rewritten image when the plan moves code or
+// cfg asks for the shift layout. The prefetcher is built from the image
+// the configuration executes; an overlay keeps prog's CFG and extents,
+// which is all a prefetcher reads, so it is built from prog.
+func planOptions(prog *program.Program, cfg TuneConfig, plan *Plan) (frontend.Options, error) {
+	pol, err := cfg.newPolicy()
+	if err != nil {
+		return frontend.Options{}, err
+	}
+	o := frontend.Options{
+		Policy:          pol,
+		Hints:           cfg.Hints,
+		MeasureAccuracy: cfg.MeasureAccuracy,
+		WarmupBlocks:    cfg.WarmupBlocks,
+	}
 	target := prog
-	var overlay map[program.BlockID][]uint64
 	if plan != nil {
 		if err := plan.Check(prog); err != nil {
-			return frontend.Result{}, err
+			return frontend.Options{}, err
 		}
 		switch {
 		case cfg.ShiftLayout:
 			target = plan.Apply(prog)
+			o.Image = target
 		case prog.PlanMovesCode(plan.Injections):
 			target = plan.ApplyPreservingLayout(prog)
+			o.Image = target
 		default:
-			// The overlay keeps prog's CFG and extents, which is all a
-			// prefetcher reads, so it is built from prog.
-			overlay = plan.Injections
+			o.Injections = plan.Injections
 		}
 	}
-	pf, err := cfg.newPrefetcher(target)
-	if err != nil {
-		return frontend.Result{}, err
+	if o.Prefetcher, err = cfg.newPrefetcher(target); err != nil {
+		return frontend.Options{}, err
 	}
-	return frontend.Run(cfg.Params, target, src, frontend.Options{
-		Policy:          pol,
-		Prefetcher:      pf,
-		Hints:           cfg.Hints,
-		MeasureAccuracy: cfg.MeasureAccuracy,
-		WarmupBlocks:    cfg.WarmupBlocks,
-		Injections:      overlay,
-	})
+	return o, nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"ripple/internal/blockseq"
 	"ripple/internal/frontend"
+	"ripple/internal/program"
 	"ripple/internal/runner"
 )
 
@@ -101,22 +102,23 @@ func (g *gateSource) Released() bool {
 	}
 }
 
-// TestTuneParallelRunsJobsConcurrently: with 4 workers, at least 4 of the
-// sweep's simulations must be in flight at once (this container has one
-// CPU, so concurrency is proven by rendezvous, not wall clock).
+// TestTuneParallelRunsJobsConcurrently: with 4 workers and at least 4
+// distinct runs, the sweep splits into 4 lockstep groups that must all
+// be in flight at once (concurrency is proven by rendezvous, not wall
+// clock: each group opens the source once).
 func TestTuneParallelRunsJobsConcurrently(t *testing.T) {
-	prog, tr := smallTuneSetup(t)
-	a, err := Analyze(prog, blockseq.SliceSource(tr), acfg(64))
+	prog, tr, _ := tunedApp(t, "finagle-http")
+	a, err := Analyze(prog, blockseq.SliceSource(tr), DefaultAnalysisConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := frontend.DefaultParams()
-	params.L1I = oneSet
 	cfg := TuneConfig{
-		Params:     params,
+		Params:     frontend.DefaultParams(),
 		Policy:     "lru",
 		Prefetcher: "none",
-		Thresholds: []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.9},
+	}
+	if n := sweepRunCount(a, DefaultThresholds()); n < 4 {
+		t.Fatalf("sweep has %d distinct runs; the rendezvous needs 4", n)
 	}
 	gate := newGateSource(blockseq.SliceSource(tr), 4)
 	pool := runner.New(runner.Options{Workers: 4})
@@ -134,14 +136,38 @@ func TestTuneParallelRunsJobsConcurrently(t *testing.T) {
 		t.Fatal("parallel tune never finished")
 	}
 	if !gate.Released() {
-		t.Fatal("never observed 4 simultaneously running sweep jobs")
+		t.Fatal("never observed 4 simultaneously running lockstep groups")
 	}
 }
 
+// sweepRunCount is the number of simulations a sweep needs, counted
+// independently of distinctRuns: the baseline plus one per distinct
+// non-empty set of injections.
+func sweepRunCount(a *Analysis, thresholds []float64) int {
+	var distinct []map[program.BlockID][]uint64
+	for _, th := range thresholds {
+		inj := a.PlanAt(th).Injections
+		if len(inj) == 0 {
+			continue
+		}
+		seen := false
+		for _, d := range distinct {
+			if reflect.DeepEqual(d, inj) {
+				seen = true
+			}
+		}
+		if !seen {
+			distinct = append(distinct, inj)
+		}
+	}
+	return 1 + len(distinct)
+}
+
 // TestTuneParallelWarmStoreSkipsSimulation: with a persistent store and a
-// stable SourceID, a second pool re-running the identical sweep performs
-// ZERO simulations — every job (baseline + each threshold) is served from
-// disk, and the result is still byte-identical.
+// stable SourceID, a cold sweep simulates each distinct plan once (plus
+// the baseline), and a second pool re-running the identical sweep
+// performs ZERO simulations — every result is served from disk, and the
+// sweep is still byte-identical.
 func TestTuneParallelWarmStoreSkipsSimulation(t *testing.T) {
 	prog, tr := smallTuneSetup(t)
 	a, err := Analyze(prog, blockseq.SliceSource(tr), acfg(64))
@@ -169,8 +195,9 @@ func TestTuneParallelWarmStoreSkipsSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := pool1.Stats(); st.Computed != int64(len(cfg.Thresholds))+1 {
-		t.Fatalf("cold run computed %d jobs, want %d", st.Computed, len(cfg.Thresholds)+1)
+	distinct := int64(sweepRunCount(a, cfg.Thresholds))
+	if st := pool1.Stats(); st.Computed != distinct {
+		t.Fatalf("cold run computed %d jobs, want %d", st.Computed, distinct)
 	}
 
 	store2, err := runner.OpenStore(dir)
@@ -187,8 +214,8 @@ func TestTuneParallelWarmStoreSkipsSimulation(t *testing.T) {
 	if st.Computed != 0 {
 		t.Fatalf("warm run computed %d jobs, want 0", st.Computed)
 	}
-	if want := int64(len(cfg.Thresholds)) + 1; st.StoreHits != want {
-		t.Fatalf("warm run had %d store hits, want %d", st.StoreHits, want)
+	if st.StoreHits != distinct {
+		t.Fatalf("warm run had %d store hits, want %d", st.StoreHits, distinct)
 	}
 	if !reflect.DeepEqual(first.Curve, second.Curve) || first.Best != second.Best ||
 		!reflect.DeepEqual(first.Baseline, second.Baseline) ||

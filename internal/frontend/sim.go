@@ -2,6 +2,7 @@ package frontend
 
 import (
 	"fmt"
+	"slices"
 
 	"ripple/internal/blockseq"
 	"ripple/internal/cache"
@@ -65,6 +66,12 @@ type Options struct {
 	// are an error. The map and its victim slices are read, never
 	// written, and must not change during the run.
 	Injections map[program.BlockID][]uint64
+	// Image, when non-nil, is the program this configuration executes
+	// in place of the one passed to Run or RunMany: a rewritten image of
+	// it with the same block IDs, such as a shift-placed or code-moving
+	// injection plan. The trace is decoded by block ID only, so one
+	// decode serves every image.
+	Image *program.Program
 
 	// onEvent, when set, observes every demand/prefetch event as it is
 	// issued (warmup included; AccessEvents resolves the boundary via
@@ -175,14 +182,15 @@ func Speedup(baseline, r Result) float64 {
 	return (float64(baseline.Cycles)/float64(r.Cycles) - 1) * 100
 }
 
-// sim bundles one run's mutable state.
+// sim bundles one configuration's mutable state. A run drives one sim
+// per configuration off a single decode of the trace (RunMany).
 type sim struct {
 	p      Params
-	prog   *program.Program
+	prog   *program.Program // the image this configuration executes
 	opts   Options
 	l1i    *cache.Cache
 	outer  hierarchy
-	res    *Result
+	res    Result
 	oracle *opt.Oracle
 	pos    int32 // current demand-stream position (oracle time)
 
@@ -200,12 +208,61 @@ type sim struct {
 	// planned marks, one bit per block ID, the blocks whose hints come
 	// from opts.Injections rather than from the program.
 	planned []uint64
+	// lastLine is the last demand line fetched: a block's first line
+	// that repeats it is a within-line continuation and is not fetched
+	// again (matching DemandLines).
+	lastLine uint64
+	// shared, when non-nil, is the prefetcher walk this configuration
+	// replays instead of driving its own prefetcher.
+	shared *prefetchWalk
+	// walker is the prefetcher instance actually driven for this
+	// configuration: its own, or the shared walk's.
+	walker prefetch.Prefetcher
+	issue  prefetch.IssueFunc
 	// missObs is the prefetcher's miss-feedback hook, if it has one
 	// (temporal record/replay designs train on the miss stream).
 	missObs prefetch.MissObserver
-	// warmSnap holds the counter snapshot taken at the end of warmup.
-	warmSnap *Result
+	// warmSnap holds the counter snapshot taken at the end of warmup,
+	// and warmMispredicts the branch predictor's count at that point.
+	warmSnap        *Result
+	warmMispredicts uint64
 }
+
+// prefetchWalk is one prefetcher driven on behalf of several
+// configurations: it retires each chunk of the trace once, recording the
+// lines it issues per block, and every configuration replays them into
+// its own L1I. This is exact because such a prefetcher reads only the
+// program and the trace, never the cache (prefetch.SameWalk).
+type prefetchWalk struct {
+	pf    prefetch.Prefetcher
+	issue prefetch.IssueFunc
+	// lines holds what the current chunk's blocks issued: block k's
+	// lines are lines[ends[k]:ends[k+1]].
+	lines []uint64
+	ends  []int
+	// misBefore[k] is the FDIP predictor's misprediction count before
+	// chunk block k retired: the warmup snapshot of a configuration
+	// whose warmup ends there.
+	misBefore []uint64
+}
+
+// walk drives the shared prefetcher over the retirement of chunk blocks
+// buf[:n]; block k retires only when buf holds its successor.
+func (w *prefetchWalk) walk(buf []program.BlockID, n int) {
+	f, _ := w.pf.(*prefetch.FDIP)
+	w.lines, w.ends, w.misBefore = w.lines[:0], append(w.ends[:0], 0), w.misBefore[:0]
+	for k := 0; k < n; k++ {
+		if f != nil {
+			w.misBefore = append(w.misBefore, f.Predictor().Mispredicts())
+		}
+		if k+1 < len(buf) {
+			w.pf.OnBlockRetire(buf[k], buf[k+1], w.issue)
+		}
+		w.ends = append(w.ends, len(w.lines))
+	}
+}
+
+func (w *prefetchWalk) record(l uint64) { w.lines = append(w.lines, l) }
 
 // Run simulates the block stream through the configured frontend and
 // returns the measurements. The source may be replayed with a rewritten
@@ -215,68 +272,169 @@ type sim struct {
 // MeasureAccuracy re-opens the source for the oracle pre-pass, relying on
 // the Source replayability contract. Runs over the same text share one
 // prewarmed L2/L3 snapshot and copy only the sets they touch (outer.go).
+//
+// Run is RunMany with one configuration.
 func Run(p Params, prog *program.Program, src blockseq.Source, opts Options) (Result, error) {
-	if opts.Policy == nil {
-		opts.Policy = replacement.NewLRU()
-	}
-	if opts.Prefetcher == nil {
-		opts.Prefetcher = prefetch.None{}
-	}
-	h, err := newOuter(p, prog, opts.ColdHierarchy)
+	sims, err := runMany(p, prog, src, []Options{opts}, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	return runWith(p, prog, src, opts, h)
+	return sims[0].res, nil
+}
+
+// RunMany simulates several configurations in lockstep over one pass of
+// the source and returns their results in order; each equals what Run
+// returns for that configuration alone. The work that does not depend
+// on cache state is done once and fanned out to every configuration:
+//
+//   - the source is decoded once;
+//   - each distinct program image (prog, or a configuration's Image) has
+//     one oracle pre-pass when any of its configurations sets
+//     MeasureAccuracy;
+//   - configurations whose prefetchers walk identically
+//     (prefetch.SameWalk: same kind, parameters and program, and no miss
+//     feedback) share one prefetcher, driven through the first such
+//     configuration's instance; the others' instances stay untouched.
+//
+// Each configuration keeps its own L1I and policy, outer hierarchy,
+// cycle clock, hint overlay, in-flight prefetch slots and Result.
+// Configurations must use distinct Policy instances, and distinct
+// Prefetcher instances unless prefetch.SameWalk holds between them.
+func RunMany(p Params, prog *program.Program, src blockseq.Source, opts []Options) ([]Result, error) {
+	sims, err := runMany(p, prog, src, opts, nil)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Result, len(sims))
+	for i := range sims {
+		out[i] = sims[i].res
+	}
+	return out, nil
 }
 
 // runWith is Run over a given outer hierarchy.
 func runWith(p Params, prog *program.Program, src blockseq.Source, opts Options, h hierarchy) (Result, error) {
-	l1i, err := cache.New(p.L1I, opts.Policy)
+	sims, err := runMany(p, prog, src, []Options{opts}, []hierarchy{h})
 	if err != nil {
-		return Result{}, fmt.Errorf("frontend: L1I: %w", err)
-	}
-	res := Result{
-		Program:    prog.Name,
-		Policy:     opts.Policy.Name(),
-		Prefetcher: opts.Prefetcher.Name(),
-	}
-	s := &sim{
-		p: p, prog: prog, opts: opts,
-		l1i: l1i, outer: h,
-		res:     &res,
-		pending: make([]float64, p.L1I.Sets()*p.L1I.Ways),
-		ways:    p.L1I.Ways,
-	}
-	if s.planned, err = plannedBlocks(prog, opts.Injections); err != nil {
 		return Result{}, err
 	}
-	if mo, ok := opts.Prefetcher.(prefetch.MissObserver); ok {
-		s.missObs = mo
+	return sims[0].res, nil
+}
+
+// runMany builds one sim per configuration, wires the shared oracles and
+// prefetcher walks, and runs them over one pass of src. hs, when non-nil,
+// supplies each configuration's outer hierarchy; otherwise each gets the
+// production overlay over its image's prewarmed (or cold) snapshot.
+func runMany(p Params, prog *program.Program, src blockseq.Source, opts []Options, hs []hierarchy) ([]sim, error) {
+	if len(opts) == 0 {
+		return nil, nil
 	}
-	if opts.MeasureAccuracy {
-		o, err := opt.BuildOracleSource(DemandEvents(prog, src), p.L1I)
-		if err != nil {
-			return Result{}, fmt.Errorf("frontend: oracle pre-pass: %w", err)
+	sims := make([]sim, len(opts))
+	for i := range sims {
+		s := &sims[i]
+		o := opts[i]
+		if o.Policy == nil {
+			o.Policy = replacement.NewLRU()
 		}
-		s.oracle = o
+		if o.Prefetcher == nil {
+			o.Prefetcher = prefetch.None{}
+		}
+		img := prog
+		if o.Image != nil {
+			if o.Image.NumBlocks() != prog.NumBlocks() {
+				return nil, fmt.Errorf("frontend: image %s has %d blocks; %s has %d",
+					o.Image.Name, o.Image.NumBlocks(), prog.Name, prog.NumBlocks())
+			}
+			img = o.Image
+		}
+		l1i, err := cache.New(p.L1I, o.Policy)
+		if err != nil {
+			return nil, fmt.Errorf("frontend: L1I: %w", err)
+		}
+		var h hierarchy
+		if hs != nil {
+			h = hs[i]
+		} else if h, err = newOuter(p, img, o.ColdHierarchy); err != nil {
+			return nil, err
+		}
+		*s = sim{
+			p: p, prog: img, opts: o,
+			l1i: l1i, outer: h,
+			res: Result{
+				Program:    img.Name,
+				Policy:     o.Policy.Name(),
+				Prefetcher: o.Prefetcher.Name(),
+			},
+			pending:  make([]float64, p.L1I.Sets()*p.L1I.Ways),
+			ways:     p.L1I.Ways,
+			lastLine: ^uint64(0),
+			walker:   o.Prefetcher,
+		}
+		if s.planned, err = plannedBlocks(img, o.Injections); err != nil {
+			return nil, err
+		}
+		if mo, ok := o.Prefetcher.(prefetch.MissObserver); ok {
+			s.missObs = mo
+		}
+		s.issue = s.issuePrefetch
+		if o.RecordStream {
+			s.res.Stream = make([]opt.Event, 0, blockseq.CapHint(src, 512)*2)
+		}
+		if o.MeasureAccuracy {
+			// One oracle pre-pass per image: it depends only on the
+			// image's demand lines.
+			for k := range sims[:i] {
+				if sims[k].prog == img && sims[k].oracle != nil {
+					s.oracle = sims[k].oracle
+					break
+				}
+			}
+			if s.oracle == nil {
+				if s.oracle, err = opt.BuildOracleSource(DemandEvents(img, src), p.L1I); err != nil {
+					return nil, fmt.Errorf("frontend: oracle pre-pass: %w", err)
+				}
+			}
+		}
 	}
-	if opts.RecordStream {
-		res.Stream = make([]opt.Event, 0, blockseq.CapHint(src, 512)*2)
+	// Group configurations whose prefetchers walk identically; a group
+	// of one keeps driving its own prefetcher directly.
+	for i := range sims {
+		if sims[i].shared != nil {
+			continue
+		}
+		var w *prefetchWalk
+		for k := i + 1; k < len(sims); k++ {
+			if sims[k].shared != nil || !prefetch.SameWalk(sims[i].walker, sims[k].walker) {
+				continue
+			}
+			if w == nil {
+				w = &prefetchWalk{
+					pf:        sims[i].walker,
+					lines:     make([]uint64, 0, 4*chunkBlocks),
+					ends:      make([]int, 0, chunkBlocks+1),
+					misBefore: make([]uint64, 0, chunkBlocks),
+				}
+				w.issue = w.record
+				sims[i].shared = w
+			}
+			sims[k].shared, sims[k].walker = w, w.pf
+		}
 	}
 
-	if err := s.run(src); err != nil {
-		return Result{}, fmt.Errorf("frontend: %w", err)
+	if err := simulate(src, sims); err != nil {
+		return nil, fmt.Errorf("frontend: %w", err)
 	}
-
-	res.Cycles = uint64(s.cycleF)
-	res.L1I = s.l1i.Stats
-	res.subtract(s.warmSnap)
-	if f, ok := opts.Prefetcher.(*prefetch.FDIP); ok && res.Instrs > 0 {
-		pr := f.Predictor()
-		mis := pr.CondMispredicts + pr.IndMispredicts + pr.RetMispredicts
-		res.BranchMPKI = float64(mis) / float64(res.Instrs) * 1000
+	for i := range sims {
+		s := &sims[i]
+		s.res.Cycles = uint64(s.cycleF)
+		s.res.L1I = s.l1i.Stats
+		s.res.subtract(s.warmSnap)
+		if f, ok := s.walker.(*prefetch.FDIP); ok && s.res.Instrs > 0 {
+			mis := f.Predictor().Mispredicts() - s.warmMispredicts
+			s.res.BranchMPKI = float64(mis) / float64(s.res.Instrs) * 1000
+		}
 	}
-	return res, nil
+	return sims, nil
 }
 
 // plannedBlocks builds the overlay's bitset over block IDs: bit id is set
@@ -306,19 +464,65 @@ func (s *sim) hints(bid program.BlockID, b *program.Block) []uint64 {
 	return b.Invalidations
 }
 
-func (s *sim) run(src blockseq.Source) error {
-	lastLine := ^uint64(0)
-	issue := s.issuePrefetch
+// chunkBlocks is how many blocks one configuration executes before the
+// next takes its turn. Interleaving configurations block by block keeps
+// every configuration's L1I, policy and overlay state live at once, and
+// on a ten-policy sweep that thrashed the host's caches badly enough to
+// run slower than ten separate passes; a chunk keeps one configuration's
+// state hot while its lookahead buffer stays small. It is a variable
+// only so tests can show the chunking is invisible in results.
+var chunkBlocks = 2048
 
-	// One-block lookahead: the prefetcher's retire hook needs the next
-	// block, so the loop always holds the current block plus the peeked
-	// successor — the only trace state the simulator keeps.
+// simulate runs every configuration over one pass of src, chunk by
+// chunk: the source fills a buffer of block IDs, each shared prefetcher
+// walks it once, then each configuration executes it in turn. Every
+// configuration sees exactly the blocks, successors and prefetch issues
+// of a pass of its own, so the interleaving is invisible in its result.
+func simulate(src blockseq.Source, sims []sim) error {
+	var walks []*prefetchWalk
+	for i := range sims {
+		if w := sims[i].shared; w != nil && !slices.Contains(walks, w) {
+			walks = append(walks, w)
+		}
+	}
+	// The buffer holds a chunk plus one block of lookahead: the
+	// prefetcher's retire hook needs each block's successor. The
+	// lookahead block opens the next chunk.
 	seq := src.Open()
-	bid, ok := seq.Next()
-	for ti := 0; ok; ti++ {
-		next, haveNext := seq.Next()
-		if ti == s.opts.WarmupBlocks {
-			s.snapshotWarm()
+	buf := make([]program.BlockID, 0, chunkBlocks+1)
+	if bid, ok := seq.Next(); ok {
+		buf = append(buf, bid)
+	}
+	for ti := 0; len(buf) > 0; {
+		for len(buf) <= chunkBlocks {
+			bid, ok := seq.Next()
+			if !ok {
+				break
+			}
+			buf = append(buf, bid)
+		}
+		n := min(len(buf), chunkBlocks)
+		for _, w := range walks {
+			w.walk(buf, n)
+		}
+		for i := range sims {
+			sims[i].execute(buf, n, ti)
+		}
+		ti += n
+		buf = append(buf[:0], buf[n:]...)
+	}
+	return seq.Err()
+}
+
+// execute runs chunk blocks buf[:n], the first of which is trace block
+// ti0: each block's demand fetches, its hints, the prefetches its
+// retirement issues, and its base execution time. Block k retires into
+// the prefetcher only when buf holds its successor.
+func (s *sim) execute(buf []program.BlockID, n, ti0 int) {
+	w := s.shared
+	for k, bid := range buf[:n] {
+		if ti0+k == s.opts.WarmupBlocks {
+			s.snapshotWarm(k)
 		}
 		b := s.prog.Block(bid)
 		hints := s.hints(bid, b)
@@ -326,19 +530,22 @@ func (s *sim) run(src blockseq.Source) error {
 		s.res.Blocks++
 		s.res.Instrs += uint64(b.Instrs) + uint64(nh)
 
-		// Fetch the block's lines (coalescing within-line continuation,
-		// matching DemandLines).
-		first, n := s.prog.BlockLines(bid)
-		for l := first; l < first+uint64(n); l++ {
-			if l == lastLine {
-				continue
+		// Consecutive lines of a block are distinct, so only its first
+		// can continue the previous block's last.
+		first, nl := s.prog.BlockLines(bid)
+		if nl > 0 {
+			l, end := first, first+uint64(nl)
+			if l == s.lastLine {
+				l++
 			}
-			lastLine = l
-			s.demandAccess(l)
-			s.pos++
+			s.lastLine = end - 1
+			for ; l < end; l++ {
+				s.demandAccess(l)
+				s.pos++
+			}
 		}
 
-		// Execute injected hints (they retire within the block).
+		// Injected hints retire within the block.
 		if nh > 0 {
 			s.res.HintInstrs += uint64(nh)
 			for _, victim := range hints {
@@ -346,28 +553,37 @@ func (s *sim) run(src blockseq.Source) error {
 			}
 		}
 
-		// Let the prefetcher observe retirement and run ahead.
-		if haveNext {
-			s.opts.Prefetcher.OnBlockRetire(bid, next, issue)
+		// The prefetcher observes retirement and runs ahead.
+		if w != nil {
+			for _, l := range w.lines[w.ends[k]:w.ends[k+1]] {
+				s.issuePrefetch(l)
+			}
+		} else if k+1 < len(buf) {
+			s.walker.OnBlockRetire(bid, buf[k+1], s.issue)
 		}
 
-		// Advance the pipeline clock by the block's base execution time;
-		// injected hints are near-free µops charged at HintCPI.
+		// Injected hints are near-free µops charged at HintCPI.
 		s.cycleF += float64(b.Instrs)*s.p.BaseCPI + float64(nh)*s.p.HintCPI
-
-		bid, ok = next, haveNext
 	}
-	return seq.Err()
 }
 
-// snapshotWarm records every counter at the end of warmup so the final
-// result reports steady-state deltas only.
-func (s *sim) snapshotWarm() {
-	snap := *s.res
+// snapshotWarm records every counter at the end of warmup, before chunk
+// block k executes, so the final result reports steady-state deltas
+// only.
+func (s *sim) snapshotWarm(k int) {
+	snap := s.res
 	snap.Cycles = uint64(s.cycleF)
 	snap.L1I = s.l1i.Stats
 	snap.Stream = nil
 	s.warmSnap = &snap
+	if w := s.shared; w != nil {
+		// The shared walk has already retired the whole chunk.
+		if k < len(w.misBefore) {
+			s.warmMispredicts = w.misBefore[k]
+		}
+	} else if f, ok := s.walker.(*prefetch.FDIP); ok {
+		s.warmMispredicts = f.Predictor().Mispredicts()
+	}
 	if s.opts.RecordStream {
 		// The oracle replays only the measured region.
 		s.res.Stream = s.res.Stream[:0]
@@ -450,7 +666,7 @@ func (s *sim) demandAccess(l uint64) {
 		s.stall(float64(s.p.MemLat))
 	}
 	if s.missObs != nil {
-		s.missObs.OnDemandMiss(l, s.issuePrefetch)
+		s.missObs.OnDemandMiss(l, s.issue)
 	}
 }
 

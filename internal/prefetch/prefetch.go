@@ -51,6 +51,36 @@ func New(name string, prog *program.Program) (Prefetcher, error) {
 	}
 }
 
+// SameWalk reports whether a and b are interchangeable in a lockstep
+// simulation: fed the same retired-block stream, they issue the same
+// prefetch lines in the same order. That holds when neither trains on
+// miss feedback (MissObserver), and both are the same kind with the same
+// parameters over the same program and have not observed a block yet.
+// None, NLP and FDIP read only the program and the trace, never the
+// cache, so one such instance can drive several configurations.
+func SameWalk(a, b Prefetcher) bool {
+	if _, ok := a.(MissObserver); ok {
+		return false
+	}
+	if _, ok := b.(MissObserver); ok {
+		return false
+	}
+	switch a := a.(type) {
+	case None:
+		_, ok := b.(None)
+		return ok
+	case *NLP:
+		b, ok := b.(*NLP)
+		return ok && a.prog == b.prog && a.degree == b.degree
+	case *FDIP:
+		b, ok := b.(*FDIP)
+		return ok && a.prog == b.prog && a.depth == b.depth &&
+			a.stepsPerRetire == b.stepsPerRetire &&
+			a.pred.Config() == b.pred.Config() && !a.started && !b.started
+	}
+	return false
+}
+
 // None performs no prefetching (the paper's baseline configuration).
 type None struct{}
 

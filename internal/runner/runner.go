@@ -26,7 +26,9 @@ import (
 	"io"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,18 +63,105 @@ type Job struct {
 // JSON, so T must round-trip through encoding/json.
 func NewJob[T any](sig, label string, cost float64, fn func(context.Context) (*T, error)) Job {
 	return Job{
-		Sig:   sig,
+		Sig:    sig,
+		Label:  label,
+		Cost:   cost,
+		run:    func(ctx context.Context) (any, error) { return fn(ctx) },
+		decode: decodeAs[T],
+	}
+}
+
+// decodeAs decodes a persisted result into a *T.
+func decodeAs[T any](raw []byte) (any, error) {
+	v := new(T)
+	if err := json.Unmarshal(raw, v); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// MultiJob is one execution that yields several signed results, such as
+// one lockstep simulation of several configurations. Each result is
+// memoized, coalesced and stored under its own signature; one call of
+// the body computes the signatures no cache level could serve. A Job is
+// the one-signature case and runs through the same path, so MultiJobs
+// and Jobs over the same signatures share every cache level.
+type MultiJob struct {
+	// Sigs are the result signatures, each under the Job.Sig contract.
+	Sigs []string
+	// Label, Cost and SkipStore are as for Job; Cost covers the whole
+	// execution.
+	Label     string
+	Cost      float64
+	SkipStore bool
+
+	run     func(ctx context.Context, want []int) ([]any, error)
+	decode  func([]byte) (any, error)
+	timeout time.Duration // a Job's Timeout
+}
+
+// NewMultiJob builds a job whose results are *Ts, one per signature. fn
+// receives the indices into sigs that must be computed, in ascending
+// order, and returns their results in that order.
+func NewMultiJob[T any](sigs []string, label string, cost float64, fn func(ctx context.Context, want []int) ([]*T, error)) MultiJob {
+	return MultiJob{
+		Sigs:  sigs,
 		Label: label,
 		Cost:  cost,
-		run:   func(ctx context.Context) (any, error) { return fn(ctx) },
-		decode: func(raw []byte) (any, error) {
-			v := new(T)
-			if err := json.Unmarshal(raw, v); err != nil {
+		run: func(ctx context.Context, want []int) ([]any, error) {
+			vs, err := fn(ctx, want)
+			if err != nil {
 				return nil, err
 			}
-			return v, nil
+			if len(vs) != len(want) {
+				return nil, fmt.Errorf("runner: job %s returned %d results for %d signatures", label, len(vs), len(want))
+			}
+			out := make([]any, len(vs))
+			for i, v := range vs {
+				out[i] = v
+			}
+			return out, nil
 		},
+		decode: decodeAs[T],
 	}
+}
+
+// multi returns j as the one-signature MultiJob the pool executes.
+func (j Job) multi() MultiJob {
+	m := MultiJob{Sigs: []string{j.Sig}, Label: j.label(), Cost: j.Cost, SkipStore: j.SkipStore, decode: j.decode, timeout: j.Timeout}
+	if j.run != nil {
+		m.run = func(ctx context.Context, _ []int) ([]any, error) {
+			v, err := j.run(ctx)
+			if err != nil {
+				return nil, err
+			}
+			return []any{v}, nil
+		}
+	}
+	return m
+}
+
+func (m MultiJob) label() string {
+	if m.Label != "" {
+		return m.Label
+	}
+	return fmt.Sprintf("%d-result job", len(m.Sigs))
+}
+
+// Split deals items 0..n-1 round-robin into min(parts, n) groups (at
+// least one when n > 0): group g holds g, g+k, g+2k, … in ascending
+// order. A lockstep job shares one pass among its members, so callers
+// split equal-cost runs into no more groups than can execute at once.
+func Split(n, parts int) [][]int {
+	if n <= 0 {
+		return nil
+	}
+	k := max(1, min(parts, n))
+	groups := make([][]int, k)
+	for i := range n {
+		groups[i%k] = append(groups[i%k], i)
+	}
+	return groups
 }
 
 // Seed derives a deterministic 64-bit RNG seed from a job signature
@@ -109,11 +198,12 @@ type Options struct {
 
 // Stats summarizes what a pool has done so far.
 type Stats struct {
-	// Computed counts jobs that actually executed.
+	// Computed counts results actually computed: one per signature an
+	// executed Job or MultiJob computed.
 	Computed int64
-	// StoreHits counts jobs served from the on-disk store.
+	// StoreHits counts results served from the on-disk store.
 	StoreHits int64
-	// MemHits counts jobs served from (or coalesced with) an earlier
+	// MemHits counts results served from (or coalesced with) an earlier
 	// in-process call.
 	MemHits int64
 	// Errors counts failed job executions (including panics).
@@ -229,100 +319,77 @@ func (p *Pool) logf(format string, args ...any) {
 // A cache miss computes inline on the caller's goroutine, so nested Do
 // calls from inside a running job cannot deadlock.
 func (p *Pool) Do(ctx context.Context, j Job) (any, error) {
-	v, _, err := p.do(ctx, j)
+	v, _, err := p.do(ctx, j.multi())
 	return v, err
 }
 
-func (p *Pool) do(ctx context.Context, j Job) (v any, computed bool, err error) {
-	if j.Sig == "" || j.run == nil {
-		return nil, false, errors.New("runner: job missing signature or body")
+// do is doMulti for a Job's one signature.
+func (p *Pool) do(ctx context.Context, m MultiJob) (any, bool, error) {
+	vs, computed, err := p.doMulti(ctx, m)
+	if err != nil {
+		return nil, computed, err
 	}
-	p.mu.Lock()
-	if c, ok := p.calls[j.Sig]; ok {
-		p.mu.Unlock()
-		select {
-		case <-c.done:
-			p.memHits.Add(1)
-			return c.val, false, c.err
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
-	}
-	c := &call{done: make(chan struct{})}
-	p.calls[j.Sig] = c
-	p.mu.Unlock()
-
-	c.val, computed, c.err = p.compute(ctx, j)
-	if c.err != nil && (errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded)) {
-		// A canceled attempt must not poison later retries.
-		p.mu.Lock()
-		delete(p.calls, j.Sig)
-		p.mu.Unlock()
-	}
-	close(c.done)
-	return c.val, computed, c.err
+	return vs[0], computed, nil
 }
 
-func (p *Pool) compute(ctx context.Context, j Job) (any, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
+// lookup serves sig from the persistent store when storable. healing
+// reports that a damaged entry was quarantined, so the next publish
+// heals it.
+func (p *Pool) lookup(sig, label string, decode func([]byte) (any, error), storable bool) (v any, ok, healing bool) {
+	if p.store == nil || !storable {
+		return nil, false, false
 	}
-	healing := false // a damaged entry was quarantined; Put will heal it
-	if p.store != nil && j.decode != nil && !j.SkipStore {
-		raw, st := p.store.Lookup(j.Sig)
-		switch st {
-		case StatusHit:
-			if v, err := j.decode(raw); err == nil {
-				p.storeHits.Add(1)
-				return v, false, nil
-			}
-			// Valid entry framing but an undecodable payload (schema
-			// drift): quarantine it like any other corruption.
-			p.store.Quarantine(j.Sig)
-			p.quarantined.Add(1)
-			healing = true
-			p.logf("[runner] quarantined undecodable store entry for %s (recomputing)", j.label())
-		case StatusCorrupt:
-			p.quarantined.Add(1)
-			healing = true
-			p.logf("[runner] quarantined corrupt store entry for %s (recomputing)", j.label())
+	raw, st := p.store.Lookup(sig)
+	switch st {
+	case StatusHit:
+		if v, err := decode(raw); err == nil {
+			p.storeHits.Add(1)
+			return v, true, false
 		}
+		// Valid entry framing but an undecodable payload (schema
+		// drift): quarantine it like any other corruption.
+		p.store.Quarantine(sig)
+		p.quarantined.Add(1)
+		p.logf("[runner] quarantined undecodable store entry for %s (recomputing)", label)
+		return nil, false, true
+	case StatusCorrupt:
+		p.quarantined.Add(1)
+		p.logf("[runner] quarantined corrupt store entry for %s (recomputing)", label)
+		return nil, false, true
 	}
-	// Fleet-scope singleflight: with a coordinating backend, either wait
-	// for another process's published result or win the compute lease.
-	// Coordination failure (backend outage) degrades to local compute.
-	var lease Lease
-	if coord, ok := p.store.(Coordinator); ok && j.decode != nil && !j.SkipStore {
-		raw, l, cerr := coord.Coordinate(ctx, j.Sig)
-		if cerr != nil {
-			return nil, false, cerr
-		}
-		if raw != nil {
-			if v, err := j.decode(raw); err == nil {
-				p.fleetHits.Add(1)
-				return v, false, nil
-			}
-			// An undecodable published payload (schema drift): fall
-			// through and compute locally; Put will replace it.
-		}
-		lease = l
+	return nil, false, false
+}
+
+// coordinate is the fleet-scope singleflight: with a coordinating
+// backend, either wait for another process's published result (ok) or
+// win the compute lease. Coordination failure (backend outage) degrades
+// to local compute with a nil lease.
+func (p *Pool) coordinate(ctx context.Context, sig string, decode func([]byte) (any, error), storable bool) (v any, ok bool, lease Lease, err error) {
+	coord, isCoord := p.store.(Coordinator)
+	if !isCoord || !storable {
+		return nil, false, nil, nil
 	}
-	t0 := time.Now()
-	v, err := p.runWithRetry(ctx, j)
-	d := time.Since(t0)
+	raw, l, err := coord.Coordinate(ctx, sig)
 	if err != nil {
-		p.errs.Add(1)
-		if lease != nil {
-			lease.Release()
-		}
-		return nil, false, err
+		return nil, false, nil, err
 	}
-	p.computed.Add(1)
-	p.computeTime.Add(int64(d))
+	if raw != nil {
+		if v, err := decode(raw); err == nil {
+			p.fleetHits.Add(1)
+			return v, true, nil, nil
+		}
+		// An undecodable published payload (schema drift): fall
+		// through and compute locally; Put will replace it.
+	}
+	return nil, false, l, nil
+}
+
+// publish persists a computed result and resolves its lease.
+func (p *Pool) publish(sig, label string, v any, persist, healing bool, lease Lease) {
 	published := false
-	if p.store != nil && !j.SkipStore {
-		if perr := p.store.Put(j.Sig, v); perr != nil {
-			p.logf("[runner] warning: persisting %s: %v", j.label(), perr)
+	if p.store != nil && persist {
+		if perr := p.store.Put(sig, v); perr != nil {
+			p.logf("[runner] warning: persisting %s: %v", label, perr)
 		} else {
 			published = true
 			if healing {
@@ -340,24 +407,166 @@ func (p *Pool) compute(ctx context.Context, j Job) (any, bool, error) {
 			lease.Release()
 		}
 	}
-	return v, true, nil
 }
 
-// runWithRetry executes the job with the pool's bounded retry policy:
-// attempts whose error is Transient are re-run up to Options.Retries
-// times, sleeping a deterministic signature-seeded exponential backoff
-// (RetryDelay) between attempts. Non-transient errors, success, context
+// doMulti returns a MultiJob's results, one per signature, computing
+// only the signatures that no in-process call, store entry or fleet
+// peer can serve — all of them in one call of the job's body, inline on
+// the caller's goroutine.
+func (p *Pool) doMulti(ctx context.Context, m MultiJob) (vals []any, computed bool, err error) {
+	if len(m.Sigs) == 0 || m.run == nil || slices.Contains(m.Sigs, "") {
+		return nil, false, errors.New("runner: job missing signature or body")
+	}
+	// Claim every signature no in-process call holds yet. A repeated
+	// signature finds its own earlier claim and waits on it below.
+	calls := make([]*call, len(m.Sigs))
+	var own []int
+	p.mu.Lock()
+	for i, sig := range m.Sigs {
+		if c, ok := p.calls[sig]; ok {
+			calls[i] = c
+			continue
+		}
+		calls[i] = &call{done: make(chan struct{})}
+		p.calls[sig] = calls[i]
+		own = append(own, i)
+	}
+	p.mu.Unlock()
+
+	if len(own) > 0 {
+		computed = p.computeMulti(ctx, m, own, calls)
+		p.mu.Lock()
+		for _, i := range own {
+			if c := calls[i]; c.err != nil && (errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded)) {
+				// A canceled attempt must not poison later retries.
+				delete(p.calls, m.Sigs[i])
+			}
+		}
+		p.mu.Unlock()
+		for _, i := range own {
+			close(calls[i].done)
+		}
+	}
+	// Wait on the signatures other calls own only after resolving this
+	// job's own, so two multi-jobs that overlap cannot wait on each
+	// other.
+	vals = make([]any, len(m.Sigs))
+	for i, c := range calls {
+		if len(own) > 0 && own[0] == i {
+			own = own[1:]
+		} else {
+			select {
+			case <-c.done:
+				p.memHits.Add(1)
+			case <-ctx.Done():
+				return nil, computed, ctx.Err()
+			}
+		}
+		if c.err != nil {
+			return nil, computed, c.err
+		}
+		vals[i] = c.val
+	}
+	return vals, computed, nil
+}
+
+// computeMulti resolves the claimed signatures own of m into their
+// calls: from the store, from fleet peers, and the rest from one run of
+// the body. It reports whether the body ran.
+func (p *Pool) computeMulti(ctx context.Context, m MultiJob, own []int, calls []*call) bool {
+	fail := func(idx []int, err error) {
+		for _, i := range idx {
+			calls[i].err = err
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		fail(own, err)
+		return false
+	}
+	storable := m.decode != nil && !m.SkipStore
+	healing := make([]bool, len(m.Sigs))
+	var rest []int
+	for _, i := range own {
+		v, ok, heal := p.lookup(m.Sigs[i], m.label(), m.decode, storable)
+		if ok {
+			calls[i].val = v
+			continue
+		}
+		healing[i] = heal
+		rest = append(rest, i)
+	}
+	// Take fleet leases in signature order: every process then acquires
+	// them in one global order, so no two can each hold a lease the
+	// other waits for.
+	if len(rest) > 1 {
+		sort.Slice(rest, func(a, b int) bool { return m.Sigs[rest[a]] < m.Sigs[rest[b]] })
+	}
+	leases := make([]Lease, len(m.Sigs))
+	releaseAll := func() {
+		for _, l := range leases {
+			if l != nil {
+				l.Release()
+			}
+		}
+	}
+	var want []int
+	for k, i := range rest {
+		v, ok, lease, err := p.coordinate(ctx, m.Sigs[i], m.decode, storable)
+		if err != nil {
+			releaseAll()
+			fail(rest[k:], err)
+			fail(want, err)
+			return false
+		}
+		if ok {
+			calls[i].val = v
+			continue
+		}
+		leases[i] = lease
+		want = append(want, i)
+	}
+	if len(want) == 0 {
+		return false
+	}
+	sort.Ints(want)
+	t0 := time.Now()
+	vs, err := p.runWithRetry(ctx, m, want)
+	d := time.Since(t0)
+	if err != nil {
+		p.errs.Add(1)
+		releaseAll()
+		fail(want, err)
+		return true
+	}
+	p.computed.Add(int64(len(want)))
+	p.computeTime.Add(int64(d))
+	for k, i := range want {
+		calls[i].val = vs[k]
+		p.publish(m.Sigs[i], m.label(), calls[i].val, !m.SkipStore, healing[i], leases[i])
+	}
+	return true
+}
+
+// runWithRetry computes the signatures want of m with the pool's bounded
+// retry policy: attempts whose error is Transient are re-run up to
+// Options.Retries times, sleeping a deterministic signature-seeded
+// exponential backoff (RetryDelay, seeded by the wanted signatures)
+// between attempts. Non-transient errors, success, context
 // cancellation, and retry exhaustion all end the loop.
-func (p *Pool) runWithRetry(ctx context.Context, j Job) (any, error) {
+func (p *Pool) runWithRetry(ctx context.Context, m MultiJob, want []int) ([]any, error) {
 	for attempt := 0; ; attempt++ {
-		v, err := runSafe(ctx, j)
+		vs, err := runSafe(ctx, m, want)
 		if err == nil || !Transient(err) || attempt >= p.retries || ctx.Err() != nil {
-			return v, err
+			return vs, err
 		}
 		p.retried.Add(1)
-		delay := RetryDelay(p.backoff, j.Sig, attempt+1)
+		wantSigs := make([]string, len(want))
+		for k, i := range want {
+			wantSigs[k] = m.Sigs[i]
+		}
+		delay := RetryDelay(p.backoff, strings.Join(wantSigs, "\n"), attempt+1)
 		p.logf("[runner] retry %d/%d for %s in %v after transient error: %v",
-			attempt+1, p.retries, j.label(), delay.Round(time.Millisecond), err)
+			attempt+1, p.retries, m.label(), delay.Round(time.Millisecond), err)
 		t := time.NewTimer(delay)
 		select {
 		case <-ctx.Done():
@@ -371,18 +580,18 @@ func (p *Pool) runWithRetry(ctx context.Context, j Job) (any, error) {
 // runSafe executes one job attempt, applying the job's per-attempt
 // timeout and converting a panic into an error so one bad job cannot
 // take down a whole suite run.
-func runSafe(ctx context.Context, j Job) (v any, err error) {
-	if j.Timeout > 0 {
+func runSafe(ctx context.Context, m MultiJob, want []int) (vs []any, err error) {
+	if m.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, j.Timeout)
+		ctx, cancel = context.WithTimeout(ctx, m.timeout)
 		defer cancel()
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("runner: job %s panicked: %v\n%s", j.label(), r, debug.Stack())
+			err = fmt.Errorf("runner: job %s panicked: %v\n%s", m.label(), r, debug.Stack())
 		}
 	}()
-	return j.run(ctx)
+	return m.run(ctx, want)
 }
 
 // ErrTransient is the sentinel for errors worth retrying: wrap it (or
@@ -511,7 +720,8 @@ type Group struct {
 // Future is the pending result of one job submitted to a Group.
 type Future struct {
 	g       *Group
-	job     Job
+	label   string
+	exec    func(context.Context) (v any, computed bool, err error)
 	claimed atomic.Bool
 	ready   chan struct{}
 	val     any
@@ -531,7 +741,24 @@ func (p *Pool) NewGroup(ctx context.Context) *Group {
 // that want largest-first scheduling sort before submitting, as RunAll
 // does.
 func (g *Group) Submit(j Job) *Future {
-	f := &Future{g: g, job: j, ready: make(chan struct{})}
+	m := j.multi()
+	return g.submit(m.Label, func(ctx context.Context) (any, bool, error) { return g.pool.do(ctx, m) })
+}
+
+// SubmitMulti queues a MultiJob like Submit. Its Future's value is a
+// []any holding one result per signature, in signature order.
+func (g *Group) SubmitMulti(m MultiJob) *Future {
+	return g.submit(m.label(), func(ctx context.Context) (any, bool, error) {
+		vs, computed, err := g.pool.doMulti(ctx, m)
+		if err != nil {
+			return nil, computed, err
+		}
+		return vs, computed, nil
+	})
+}
+
+func (g *Group) submit(label string, exec func(context.Context) (any, bool, error)) *Future {
+	f := &Future{g: g, label: label, exec: exec, ready: make(chan struct{})}
 	g.mu.Lock()
 	g.queue = append(g.queue, f)
 	g.total++
@@ -606,10 +833,10 @@ func (g *Group) Wait() error {
 func (f *Future) run() {
 	g := f.g
 	t0 := time.Now()
-	v, computed, err := g.pool.do(g.ctx, f.job)
+	v, computed, err := f.exec(g.ctx)
 	f.val = v
 	if err != nil {
-		f.err = fmt.Errorf("runner: job %s: %w", f.job.label(), err)
+		f.err = fmt.Errorf("runner: job %s: %w", f.label, err)
 		g.mu.Lock()
 		g.stopped = true
 		if g.cause == nil {
@@ -622,7 +849,7 @@ func (f *Future) run() {
 		g.mu.Lock()
 		total := g.total
 		g.mu.Unlock()
-		g.pool.logf("[runner] %d/%d %s (%v)", n, total, f.job.label(), time.Since(t0).Round(time.Millisecond))
+		g.pool.logf("[runner] %d/%d %s (%v)", n, total, f.label, time.Since(t0).Round(time.Millisecond))
 	}
 	close(f.ready)
 }

@@ -220,8 +220,8 @@ func Tune(a *Analysis, tr []BlockID, cfg TuneConfig) (*TuneResult, error) {
 	return core.Tune(a, blockseq.SliceSource(tr), cfg)
 }
 
-// TuneSource is Tune over a replayable block source (one simulation pass
-// per candidate threshold).
+// TuneSource is Tune over a replayable block source (one lockstep
+// simulation pass over every distinct candidate plan).
 func TuneSource(a *Analysis, src BlockSource, cfg TuneConfig) (*TuneResult, error) {
 	return core.Tune(a, src, cfg)
 }
@@ -293,8 +293,8 @@ func (o ParallelOptions) resolve() (core.ParallelOptions, error) {
 }
 
 // TuneParallel is TuneSource with the sweep's simulations (baseline plus
-// one per threshold) fanned out across a worker pool and memoized by
-// content signature. The result is byte-identical to Tune for any worker
+// one per distinct plan) split into lockstep groups across a worker pool
+// and memoized by content signature. The result is byte-identical to Tune for any worker
 // count.
 func TuneParallel(a *Analysis, src BlockSource, cfg TuneConfig, opts ParallelOptions) (*TuneResult, error) {
 	copts, err := opts.resolve()
