@@ -419,19 +419,29 @@ func BenchmarkSimulateSlice50k(b *testing.B)   { benchSimSlice(b, 50_000) }
 func BenchmarkSimulateSlice200k(b *testing.B)  { benchSimSlice(b, 200_000) }
 
 // BenchmarkIdealReplay measures the Demand-MIN oracle over a recorded
-// stream.
+// stream: the simulated accesses are drained from AccessEventSource once,
+// outside the timer, so each iteration is the oracle replay alone.
 func BenchmarkIdealReplay(b *testing.B) {
 	app := benchApp(b)
 	tr := app.Trace(0, 50_000)
 	params := ripple.DefaultParams()
-	pol, _ := ripple.NewPolicy("lru")
-	res, err := ripple.Simulate(params, app.Prog, tr, ripple.Options{Policy: pol, RecordStream: true})
-	if err != nil {
+	seq := ripple.AccessEventSource(params, app.Prog, ripple.SliceSource(tr), func() (ripple.Options, error) {
+		pol, err := ripple.NewPolicy("lru")
+		return ripple.Options{Policy: pol}, err
+	}).Open()
+	var stream []ripple.AccessEvent
+	for e, ok := seq.Next(); ok; e, ok = seq.Next() {
+		stream = append(stream, e)
+	}
+	if err := seq.Err(); err != nil {
 		b.Fatal(err)
 	}
+	events := ripple.SliceEventSource(stream)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ripple.IdealMisses(res.Stream, params.L1I)
+		if _, err := ripple.IdealMissesSource(events, params.L1I); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

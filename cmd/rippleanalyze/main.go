@@ -69,7 +69,6 @@ func main() {
 	flag.StringVar(&o.Oracle, "oracle", "exact", "oracle engine for the ideal-miss report: exact, or sampled to add a single-pass sampled-set OPTGen estimate beside it")
 	flag.IntVar(&o.OracleSets, "oracle-sets", 0, "sampled-set budget for -oracle sampled (default 64)")
 	flag.BoolVar(&o.Mmap, "mmap", true, "memory-map the trace for zero-copy decode (ReadAt fallback when disabled or unsupported by the platform)")
-	flag.IntVar(&o.Decoders, "decoders", 1, "decode this many PSB sync regions concurrently per pass (> 1 requires -mmap)")
 	flag.Parse()
 	o.Stdout = os.Stdout
 	if cliflag.Passed("recover") && cliflag.Passed("strict") && o.Recover && *strict {
@@ -114,7 +113,6 @@ type options struct {
 	Recover               bool
 	Index                 bool
 	Mmap                  bool
-	Decoders              int
 	Retries               int
 	Oracle                string
 	OracleSets            int
@@ -193,10 +191,7 @@ func run(o options) (runner.Stats, error) {
 		// well-defined byte offsets to seek to.
 		return stats, fmt.Errorf("-index and -recover are mutually exclusive")
 	}
-	if o.Decoders > 1 && !o.Mmap {
-		return stats, fmt.Errorf("-decoders %d requires -mmap (parallel decode runs over the mapping)", o.Decoders)
-	}
-	prog, tr, err := load(o.ProgPath, o.PTPath, o.Recover, o.Index, trace.FileOptions{NoMmap: !o.Mmap, Decoders: o.Decoders})
+	prog, tr, err := load(o.ProgPath, o.PTPath, o.Recover, o.Index, trace.FileOptions{NoMmap: !o.Mmap})
 	if err != nil {
 		return stats, err
 	}
@@ -367,8 +362,8 @@ func summarizePlan(p *core.Plan) planReport {
 // mode: damaged regions are skipped at sync points and accounted in the
 // analysis coverage. With indexed the source replays through the .ptidx
 // seek index (rebuilt if missing or stale), so windowed replay skips
-// ahead instead of decoding each window's full prefix. fo carries the
-// read options (mmap vs ReadAt, parallel region decoders).
+// ahead instead of decoding each window's full prefix. fo.NoMmap picks
+// the ReadAt pass over the default zero-copy mapped one.
 func load(progPath, ptPath string, rec, indexed bool, fo trace.FileOptions) (*program.Program, blockseq.Source, error) {
 	pf, err := os.Open(progPath)
 	if err != nil {

@@ -82,7 +82,7 @@ func distinctSweepRuns(t *testing.T, progPath, ptPath string) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := core.Analyze(prog, trace.FileSource(ptPath, prog), core.DefaultAnalysisConfig())
+	a, err := core.Analyze(prog, trace.FileSourceOptions(ptPath, prog, trace.FileOptions{}), core.DefaultAnalysisConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

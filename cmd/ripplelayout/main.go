@@ -45,7 +45,7 @@ func run(progPath, ptPath, out string, funcs, blocks bool) error {
 	if err != nil {
 		return err
 	}
-	prof, err := layout.ProfileFromTrace(prog, trace.FileSource(ptPath, prog))
+	prof, err := layout.ProfileFromTrace(prog, trace.FileSourceOptions(ptPath, prog, trace.FileOptions{}))
 	if err != nil {
 		return err
 	}

@@ -90,7 +90,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rec := fs.Bool("recover", false, "resynchronize past damaged trace regions instead of failing")
 	index := fs.Bool("index", false, "replay through the .ptidx seek index (built on the fly if absent or stale); conflicts with -recover")
 	useMmap := fs.Bool("mmap", true, "memory-map the trace for zero-copy decode (ReadAt fallback when disabled or unsupported by the platform)")
-	decoders := fs.Int("decoders", 1, "decode this many PSB sync regions concurrently per pass (> 1 requires -mmap)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -106,12 +105,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if cliflag.PassedIn(fs, "blocks") {
 		limit = *blocks
 	}
-	fo := trace.FileOptions{NoMmap: !*useMmap, Decoders: *decoders}
+	fo := trace.FileOptions{NoMmap: !*useMmap}
 	var err error
 	if *rec && *index {
 		err = fmt.Errorf("-index and -recover are mutually exclusive")
-	} else if *decoders > 1 && !*useMmap {
-		err = fmt.Errorf("-decoders %d requires -mmap (parallel decode runs over the mapping)", *decoders)
 	} else if *cachedir != "" && *storeURL != "" {
 		err = fmt.Errorf("-cachedir and -store are mutually exclusive")
 	} else if *oracleEngine != "exact" && *oracleEngine != "sampled" {

@@ -65,7 +65,6 @@ func main() {
 	flag.StringVar(&o.StoreURL, "store", "", "rippled URL for a shared fleet result store; mutually exclusive with -cachedir")
 	flag.IntVar(&o.Retries, "retries", 2, "retry budget for transiently failing simulations")
 	flag.BoolVar(&o.Mmap, "mmap", false, "memory-map the trace (unsupported while tailing: a mapping is a fixed-size snapshot and cannot observe growth; the tail reads through ReadAt by design — see rippleanalyze -mmap for offline passes)")
-	flag.IntVar(&o.Decoders, "decoders", 1, "parallel PSB region decoders (unsupported while tailing: the tail decodes incrementally in stream order; use rippleanalyze -decoders on a complete file)")
 	flag.Parse()
 	if o.CacheDir != "" && o.StoreURL != "" {
 		fmt.Fprintln(os.Stderr, "ripplewatch: -cachedir and -store are mutually exclusive")
@@ -106,7 +105,6 @@ type options struct {
 	CacheDir, StoreURL                  string
 	Retries                             int
 	Mmap                                bool
-	Decoders                            int
 	Done                                <-chan struct{}
 	Stdout                              io.Writer
 }
@@ -121,9 +119,6 @@ func run(o options) (watch.Result, error) {
 	}
 	if o.Mmap {
 		return res, fmt.Errorf("-mmap is not supported while tailing: a mapping is a fixed-size snapshot and cannot observe file growth (the tail reads through ReadAt; mmap an offline pass with rippleanalyze instead)")
-	}
-	if o.Decoders > 1 {
-		return res, fmt.Errorf("-decoders %d is not supported while tailing: the tail decodes incrementally in stream order (parallel region decode needs a complete file; use rippleanalyze -decoders)", o.Decoders)
 	}
 	if o.Stdout == nil {
 		o.Stdout = io.Discard

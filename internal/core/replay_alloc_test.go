@@ -18,7 +18,7 @@ func TestWindowReplayAllocs(t *testing.T) {
 	const blocks = 20_000
 	tr := app.Trace(0, blocks)
 	path := writeSyncTrace(t, app, tr)
-	src, err := trace.IndexedFileSource(path, app.Prog)
+	src, err := trace.IndexedFileSourceOptions(path, app.Prog, trace.FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,13 +34,13 @@ func benchWindowReplay(b *testing.B, indexed bool) {
 	path := writeSyncTrace(b, app, tr)
 	var src blockseq.Source
 	if indexed {
-		isrc, err := trace.IndexedFileSource(path, app.Prog)
+		isrc, err := trace.IndexedFileSourceOptions(path, app.Prog, trace.FileOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		src = isrc
 	} else {
-		src = trace.FileSource(path, app.Prog)
+		src = trace.FileSourceOptions(path, app.Prog, trace.FileOptions{})
 	}
 	windows := benchWindows(blocks)
 	counting := src.(trace.DecodeCounting)

@@ -96,11 +96,11 @@ func TestAnalyzeIndexedMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromFile, err := Analyze(app.Prog, trace.FileSource(path, app.Prog), cfg)
+	fromFile, err := Analyze(app.Prog, trace.FileSourceOptions(path, app.Prog, trace.FileOptions{}), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed, err := trace.IndexedFileSource(path, app.Prog)
+	indexed, err := trace.IndexedFileSourceOptions(path, app.Prog, trace.FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestAnalyzeOpenCountFlat(t *testing.T) {
 	cfg.L1I.Ways = 2
 
 	before := trace.FileOpens()
-	if _, err := Analyze(app.Prog, trace.FileSource(path, app.Prog), cfg); err != nil {
+	if _, err := Analyze(app.Prog, trace.FileSourceOptions(path, app.Prog, trace.FileOptions{}), cfg); err != nil {
 		t.Fatal(err)
 	}
 	if n := trace.FileOpens() - before; n != 1 {
@@ -147,7 +147,7 @@ func TestAnalyzeDecodeWork(t *testing.T) {
 	cfg.L1I.SizeBytes = 1 << 10
 	cfg.L1I.Ways = 2
 
-	src := trace.FileSource(path, app.Prog)
+	src := trace.FileSourceOptions(path, app.Prog, trace.FileOptions{})
 	a, err := Analyze(app.Prog, src, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +170,7 @@ func TestWindowReplayDecodeBudget(t *testing.T) {
 	const blocks = 20_000
 	tr := app.Trace(0, blocks)
 	path := writeSyncTrace(t, app, tr)
-	src, err := trace.IndexedFileSource(path, app.Prog)
+	src, err := trace.IndexedFileSourceOptions(path, app.Prog, trace.FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

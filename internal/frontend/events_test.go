@@ -7,6 +7,7 @@ import (
 
 	"ripple/internal/blockseq"
 	"ripple/internal/opt"
+	"ripple/internal/program"
 	"ripple/internal/replacement"
 	"ripple/internal/workload"
 )
@@ -79,7 +80,22 @@ func TestDemandEventsMatchesDemandLines(t *testing.T) {
 	}
 }
 
-func TestAccessEventsMatchesRecordStream(t *testing.T) {
+// recordEvents runs one simulation and collects, through the simulator's
+// own event hooks, every post-warmup access the L1I sees: the reference
+// stream AccessEvents must reproduce.
+func recordEvents(t *testing.T, p Params, prog *program.Program, src blockseq.Source, opts Options) (Result, []opt.Event) {
+	t.Helper()
+	var events []opt.Event
+	opts.onEvent = func(e opt.Event) { events = append(events, e) }
+	opts.onWarmupEnd = func() { events = events[:0] }
+	res, err := Run(p, prog, src, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, events
+}
+
+func TestAccessEventsMatchesEventHooks(t *testing.T) {
 	p := smallParams()
 	prog := loopProgram(t)
 	tr := trace(0, 1, 2, 3, 4, 0, 1, 2, 3, 4)
@@ -92,10 +108,9 @@ func TestAccessEventsMatchesRecordStream(t *testing.T) {
 			}, nil
 		}
 		opts, _ := newOpts()
-		opts.RecordStream = true
-		res, err := Run(p, prog, tr, opts)
-		if err != nil {
-			t.Fatal(err)
+		_, want := recordEvents(t, p, prog, tr, opts)
+		if len(want) == 0 {
+			want = nil
 		}
 		for _, src := range []blockseq.Source{tr, opaque(tr)} {
 			es := AccessEvents(p, prog, src, newOpts)
@@ -103,10 +118,6 @@ func TestAccessEventsMatchesRecordStream(t *testing.T) {
 			// (replayability is what the two-pass oracle engines rely on).
 			for pass := 0; pass < 2; pass++ {
 				got := drainEvents(t, es)
-				want := res.Stream
-				if len(want) == 0 {
-					want = nil
-				}
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("warm=%d pass=%d: stream diverged:\n got %v\nwant %v", warm, pass, got, want)
 				}
@@ -123,12 +134,8 @@ func TestAccessEventsFeedsOracle(t *testing.T) {
 		return Options{Policy: replacement.NewLRU(), Prefetcher: prefetchNLP(prog)}, nil
 	}
 	opts, _ := newOpts()
-	opts.RecordStream = true
-	res, err := Run(p, prog, tr, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := opt.Simulate(res.Stream, p.L1I, opt.ModeDemandMIN, false)
+	_, events := recordEvents(t, p, prog, tr, opts)
+	want := opt.Simulate(events, p.L1I, opt.ModeDemandMIN, false)
 	got, err := opt.SimulateSource(AccessEvents(p, prog, tr, newOpts), p.L1I, opt.ModeDemandMIN, false)
 	if err != nil {
 		t.Fatal(err)

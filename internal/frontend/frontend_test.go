@@ -229,18 +229,15 @@ func TestWarmupExcludesCounters(t *testing.T) {
 	}
 }
 
-func TestRecordStreamMatchesAccesses(t *testing.T) {
+func TestEventHooksMatchAccesses(t *testing.T) {
 	p := smallParams()
 	prog := loopProgram(t)
 	tr := trace(0, 1, 2, 0, 1)
-	res, err := Run(p, prog, tr, Options{Policy: replacement.NewLRU(), RecordStream: true})
-	if err != nil {
-		t.Fatal(err)
+	res, events := recordEvents(t, p, prog, tr, Options{Policy: replacement.NewLRU()})
+	if uint64(len(events)) != res.L1I.DemandAccesses {
+		t.Fatalf("stream %d events, %d demand accesses", len(events), res.L1I.DemandAccesses)
 	}
-	if uint64(len(res.Stream)) != res.L1I.DemandAccesses {
-		t.Fatalf("stream %d events, %d demand accesses", len(res.Stream), res.L1I.DemandAccesses)
-	}
-	for _, e := range res.Stream {
+	for _, e := range events {
 		if e.Prefetch {
 			t.Fatal("prefetch event without a prefetcher")
 		}

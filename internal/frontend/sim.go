@@ -32,13 +32,6 @@ type Options struct {
 	Prefetcher prefetch.Prefetcher
 	// Hints selects invalidate vs. demote execution of injected hints.
 	Hints HintMode
-	// RecordStream materializes the full demand+prefetch line-event
-	// stream on Result.Stream — 16 bytes per post-warmup access, i.e.
-	// O(trace) memory. It is a legacy opt-in for callers that genuinely
-	// need the slice; every oracle consumer should instead replay the
-	// run through AccessEvents, which streams the identical events
-	// without materializing them.
-	RecordStream bool
 	// MeasureAccuracy scores every replacement decision against the
 	// Belady next-use oracle (costs one pass over the trace up front).
 	MeasureAccuracy bool
@@ -111,8 +104,11 @@ type Result struct {
 	HintEvictions   uint64
 	HintOptimal     uint64
 
-	// Stream is the recorded access stream (RecordStream only).
-	Stream []opt.Event
+	// Stream is always nil. The field keeps Result's JSON encoding, which
+	// the benchmark's recorded output digests hash, byte-identical to
+	// when a run could materialize its access stream here; replay a run
+	// through AccessEvents for that stream.
+	Stream *struct{}
 
 	// BranchMPKI is control-flow mispredictions per kilo-instruction
 	// (FDIP runs only; 0 otherwise).
@@ -377,9 +373,6 @@ func runMany(p Params, prog *program.Program, src blockseq.Source, opts []Option
 			s.missObs = mo
 		}
 		s.issue = s.issuePrefetch
-		if o.RecordStream {
-			s.res.Stream = make([]opt.Event, 0, blockseq.CapHint(src, 512)*2)
-		}
 		if o.MeasureAccuracy {
 			// One oracle pre-pass per image: it depends only on the
 			// image's demand lines.
@@ -574,7 +567,6 @@ func (s *sim) snapshotWarm(k int) {
 	snap := s.res
 	snap.Cycles = uint64(s.cycleF)
 	snap.L1I = s.l1i.Stats
-	snap.Stream = nil
 	s.warmSnap = &snap
 	if w := s.shared; w != nil {
 		// The shared walk has already retired the whole chunk.
@@ -583,10 +575,6 @@ func (s *sim) snapshotWarm(k int) {
 		}
 	} else if f, ok := s.walker.(*prefetch.FDIP); ok {
 		s.warmMispredicts = f.Predictor().Mispredicts()
-	}
-	if s.opts.RecordStream {
-		// The oracle replays only the measured region.
-		s.res.Stream = s.res.Stream[:0]
 	}
 	if s.opts.onWarmupEnd != nil {
 		s.opts.onWarmupEnd()
@@ -625,9 +613,6 @@ func (s *sim) stall(cycles float64) {
 // demandAccess performs one demand instruction-line access, charging the
 // exposed miss latency.
 func (s *sim) demandAccess(l uint64) {
-	if s.opts.RecordStream {
-		s.res.Stream = append(s.res.Stream, opt.Event{Line: l})
-	}
 	if s.opts.onEvent != nil {
 		s.opts.onEvent(opt.Event{Line: l})
 	}
@@ -677,9 +662,6 @@ func (s *sim) issuePrefetch(l uint64) {
 	r := s.l1i.Access(ai)
 	if r.EvictedValid && s.oracle != nil {
 		s.scoreEviction(r, l, s.pos-1)
-	}
-	if s.opts.RecordStream {
-		s.res.Stream = append(s.res.Stream, opt.Event{Line: l, Prefetch: true})
 	}
 	if s.opts.onEvent != nil {
 		s.opts.onEvent(opt.Event{Line: l, Prefetch: true})

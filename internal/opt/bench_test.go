@@ -43,8 +43,8 @@ func BenchmarkOracle(b *testing.B) {
 		}
 		run("legacy-slice", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				// The RecordStream-era shape: materialize the stream,
-				// then hand the slice to the engine.
+				// The materialized shape: drain the stream into a
+				// slice, then hand the slice to the engine.
 				buf := make([]Event, 0, len(ev))
 				seq := src.Open()
 				for {

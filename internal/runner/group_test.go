@@ -82,10 +82,33 @@ func TestGroupFansOutConcurrently(t *testing.T) {
 	}
 }
 
+// holdSlot occupies the pool's only worker slot with a blocked job from
+// another group. A batch submitted meanwhile spawns no worker, so Wait
+// drains it alone on the calling goroutine, in claim order. The returned
+// func releases the slot.
+func holdSlot(t *testing.T, p *Pool) (release func()) {
+	t.Helper()
+	started, unblock := make(chan struct{}), make(chan struct{})
+	g := p.NewGroup(context.Background())
+	g.Submit(NewJob("hold", "hold", 1, func(context.Context) (*intRec, error) {
+		close(started)
+		<-unblock
+		return &intRec{}, nil
+	}))
+	<-started
+	return func() {
+		close(unblock)
+		if err := g.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestGroupErrorSkipsPending: the first failure stops the queue; pending
 // futures resolve as skipped, and Wait returns the original error.
 func TestGroupErrorSkipsPending(t *testing.T) {
 	p := New(Options{Workers: 1})
+	defer holdSlot(t, p)()
 	g := p.NewGroup(context.Background())
 	boom := errors.New("boom")
 	ff := g.Submit(NewJob("fail", "fail", 1, func(context.Context) (*intRec, error) {

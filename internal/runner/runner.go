@@ -179,7 +179,10 @@ func Seed(sig string) uint64 {
 
 // Options configures a Pool.
 type Options struct {
-	// Workers bounds concurrent job execution; <= 0 uses GOMAXPROCS.
+	// Workers bounds the worker goroutines the pool spawns; <= 0 uses
+	// GOMAXPROCS. A goroutine blocked in Group.Wait or Future.Get lends
+	// itself too and runs still-queued jobs inline, so up to Workers jobs
+	// plus one per such waiting goroutine may execute at once.
 	Workers int
 	// Store, when non-nil, persists every successful result. A backend
 	// that also implements Coordinator extends deduplication to fleet

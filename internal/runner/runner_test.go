@@ -77,7 +77,10 @@ func TestDoCoalescesConcurrentCalls(t *testing.T) {
 }
 
 func TestRunAllLargestFirst(t *testing.T) {
-	p := New(Options{Workers: 1}) // serial, so execution order is observable
+	p := New(Options{Workers: 1})
+	// With the slot held, RunAll's own goroutine is the only executor, so
+	// execution order is the scheduling order.
+	defer holdSlot(t, p)()
 	var mu sync.Mutex
 	var order []string
 	mk := func(sig string, cost float64) Job {

@@ -151,7 +151,7 @@ func WriteIndexFile(path string, idx *Index, traceSHA [32]byte, traceLen int64) 
 // does not match, and the underlying error (e.g. fs.ErrNotExist) when
 // the sidecar cannot be read; callers rebuild on any failure. A sidecar
 // covering a verified prefix of a longer trace is also stale to this
-// call — IndexedFileSource additionally tries the cheaper extension path
+// call — IndexedFileSourceOptions additionally tries the cheaper extension path
 // before rebuilding.
 func LoadIndexFile(path string, traceSHA [32]byte, traceLen int64) (*Index, error) {
 	idx, gotSHA, gotLen, err := readIndexSidecar(path)
@@ -273,11 +273,12 @@ func putUvarint(b *bytes.Buffer, v uint64) {
 	b.Write(buf[:n])
 }
 
-// IndexedFileSource streams an encoded trace file with seek support: its
-// passes implement blockseq.Seeker (SeekBlock repositions at the nearest
-// sync point at or before the target and decodes forward) and
-// blockseq.Checkpointer (marks are block ordinals). One os.File serves
-// every pass via ReadAt.
+// IndexedFileSourceOptions streams an encoded trace file with seek
+// support: its passes implement blockseq.Seeker (SeekBlock repositions
+// at the nearest sync point at or before the target and decodes forward)
+// and blockseq.Checkpointer (marks are block ordinals). One os.File
+// serves every pass; passes decode the file's mapping unless o.NoMmap
+// asks for ReadAt. o.Recover is rejected: see below.
 //
 // The `.ptidx` sidecar is loaded when present and keyed to the file's
 // current SHA-256 and length; a missing, corrupt, or stale sidecar
@@ -293,15 +294,6 @@ func putUvarint(b *bytes.Buffer, v uint64) {
 // The source also implements DecodeCounting: DecodedBlocks meters total
 // decode work across all passes, including blocks discarded while
 // seeking.
-func IndexedFileSource(path string, prog *program.Program) (blockseq.Source, error) {
-	return IndexedFileSourceOptions(path, prog, FileOptions{})
-}
-
-// IndexedFileSourceOptions is IndexedFileSource with explicit read
-// options. Only NoMmap applies: indexed passes restart at arbitrary sync
-// points on every seek, which parallel region decoding cannot serve, so
-// Decoders is ignored; Recover is rejected because recovery and seeking
-// don't compose (see IndexedFileSource).
 func IndexedFileSourceOptions(path string, prog *program.Program, o FileOptions) (blockseq.Source, error) {
 	if o.Recover {
 		return nil, errors.New("trace: indexed sources decode strictly; recovery and seeking don't compose")

@@ -126,12 +126,12 @@ func TestIndexPathNaming(t *testing.T) {
 	}
 }
 
-// --- IndexedFileSource conformance ------------------------------------
+// --- IndexedFileSourceOptions conformance ---------------------------
 
 func TestIndexedFileSourceConformance(t *testing.T) {
 	path, _, prog := writeTrace(t, t.TempDir(), 256)
 	open := func(*testing.T) blockseq.Source {
-		src, err := IndexedFileSource(path, prog)
+		src, err := IndexedFileSourceOptions(path, prog, FileOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestIndexedFileSourceConformance(t *testing.T) {
 func TestIndexedFileSourceNoSyncPoints(t *testing.T) {
 	path, _, prog := writeTrace(t, t.TempDir(), 0)
 	open := func(*testing.T) blockseq.Source {
-		src, err := IndexedFileSource(path, prog)
+		src, err := IndexedFileSourceOptions(path, prog, FileOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestIndexedFileSourceNoSyncPoints(t *testing.T) {
 // discarded blocks, not the n-block prefix.
 func TestIndexedSeekDecodeBudget(t *testing.T) {
 	path, tr, prog := writeTrace(t, t.TempDir(), 256)
-	src, err := IndexedFileSource(path, prog)
+	src, err := IndexedFileSourceOptions(path, prog, FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestIndexSidecarExtendVsRebuildByteIdentity(t *testing.T) {
 	}
 
 	// Opening the grown trace extends the sidecar rather than rebuilding.
-	src, err := IndexedFileSource(path, app.Prog)
+	src, err := IndexedFileSourceOptions(path, app.Prog, FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestIndexSidecarExtendVsRebuildByteIdentity(t *testing.T) {
 	if err := os.Remove(sidecar); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := IndexedFileSource(path, app.Prog); err != nil {
+	if _, err := IndexedFileSourceOptions(path, app.Prog, FileOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	rebuilt, err := os.ReadFile(sidecar)
@@ -323,7 +323,7 @@ func TestIndexSidecarExtendVsRebuildByteIdentity(t *testing.T) {
 	if err := WriteIndexFile(sidecar, partial, [32]byte{0xBA, 0xD0}, cut); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := IndexedFileSource(path, app.Prog); err != nil {
+	if _, err := IndexedFileSourceOptions(path, app.Prog, FileOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	after, err := os.ReadFile(sidecar)
@@ -349,7 +349,7 @@ func TestIndexSidecarStaleAfterRegenerate(t *testing.T) {
 	if err := os.WriteFile(path, encodedSync(t, app.Prog, oldTrace, 256), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := IndexedFileSource(path, app.Prog); err != nil {
+	if _, err := IndexedFileSourceOptions(path, app.Prog, FileOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	sidecar := IndexPath(path)
@@ -373,7 +373,7 @@ func TestIndexSidecarStaleAfterRegenerate(t *testing.T) {
 		t.Fatalf("old sidecar against regenerated trace: %v, want ErrIndexStale", err)
 	}
 
-	src, err := IndexedFileSource(path, app.Prog)
+	src, err := IndexedFileSourceOptions(path, app.Prog, FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +427,7 @@ func TestIndexSidecarDamageTreatedAsAbsent(t *testing.T) {
 	for _, d := range damages {
 		t.Run(d.name, func(t *testing.T) {
 			path, tr, prog := writeTrace(t, t.TempDir(), 256)
-			if _, err := IndexedFileSource(path, prog); err != nil {
+			if _, err := IndexedFileSourceOptions(path, prog, FileOptions{}); err != nil {
 				t.Fatal(err)
 			}
 			sidecar := IndexPath(path)
@@ -448,7 +448,7 @@ func TestIndexSidecarDamageTreatedAsAbsent(t *testing.T) {
 				// must catch that before the hash comparison does.
 				t.Fatalf("damaged sidecar reported stale, want corrupt: %v", err)
 			}
-			src, err := IndexedFileSource(path, prog)
+			src, err := IndexedFileSourceOptions(path, prog, FileOptions{})
 			if err != nil {
 				t.Fatalf("open with damaged sidecar: %v", err)
 			}
@@ -505,12 +505,12 @@ func TestIndexedSeekFaultPoisonsPass(t *testing.T) {
 // --- descriptor reuse --------------------------------------------------
 
 // TestFileSourceReusesDescriptor: multiple passes (and LenHint) over one
-// FileSource must cost exactly one os.Open.
+// file source must cost exactly one os.Open.
 func TestFileSourceReusesDescriptor(t *testing.T) {
 	path, tr, prog := writeTrace(t, t.TempDir(), 0)
 	for name, src := range map[string]blockseq.Source{
-		"strict":  FileSource(path, prog),
-		"recover": RecoverFileSource(path, prog),
+		"strict":  FileSourceOptions(path, prog, FileOptions{}),
+		"recover": FileSourceOptions(path, prog, FileOptions{Recover: true}),
 	} {
 		t.Run(name, func(t *testing.T) {
 			before := FileOpens()
@@ -533,7 +533,7 @@ func TestFileSourceReusesDescriptor(t *testing.T) {
 func TestIndexedFileSourceReusesDescriptor(t *testing.T) {
 	path, tr, prog := writeTrace(t, t.TempDir(), 256)
 	before := FileOpens()
-	src, err := IndexedFileSource(path, prog)
+	src, err := IndexedFileSourceOptions(path, prog, FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,7 +552,7 @@ func TestIndexedFileSourceReusesDescriptor(t *testing.T) {
 // exactly the stream length per full pass.
 func TestDecodeCountingMetersPasses(t *testing.T) {
 	path, tr, prog := writeTrace(t, t.TempDir(), 0)
-	src := FileSource(path, prog)
+	src := FileSourceOptions(path, prog, FileOptions{})
 	counting := src.(DecodeCounting)
 	for pass := 1; pass <= 3; pass++ {
 		if _, err := blockseq.Collect(src); err != nil {

@@ -35,13 +35,6 @@ type FileOptions struct {
 	// which always reads via ReadAt — a mapping is a fixed-size
 	// snapshot, and truncation under it faults.
 	NoMmap bool
-	// Decoders > 1 decodes disjoint PSB sync regions concurrently on a
-	// bounded worker pool and fans the results back in stream order,
-	// bit-identical to serial decode (see ParallelFileSource). <= 1
-	// decodes serially. Parallel decode requires the mapping; without
-	// it (NoMmap, unsupported platform, or a stream with no sync
-	// points) passes decode serially.
-	Decoders int
 	// Recover selects recovery mode: damaged packet regions are skipped
 	// at PSB sync points instead of erroring, and the source implements
 	// Reporting.
@@ -56,41 +49,21 @@ func NewSource(prog *program.Program, open func() (io.ReadCloser, error)) blocks
 	return &readerSource{prog: prog, open: open}
 }
 
-// NewRecoveringSource is NewSource in recovery mode: damaged packet
-// regions are skipped at PSB sync points instead of erroring, and the
-// source additionally implements Reporting. Passes over a damaged stream
-// are still replayable — recovery decoding is deterministic for a given
-// byte stream.
-func NewRecoveringSource(prog *program.Program, open func() (io.ReadCloser, error)) blockseq.Source {
-	return &readerSource{prog: prog, open: open, rec: true}
-}
-
-// FileSource streams an encoded trace file. LenHint reads just the
-// stream header, so consumers can pre-size buffers without a full pass.
-// The file is memory-mapped when the platform allows (zero-copy decode;
-// ReadAt fallback otherwise), and all passes share one os.File, so
+// FileSourceOptions streams an encoded trace file, read as o says (see
+// FileOptions; the zero value maps the file and decodes strictly).
+// LenHint reads just the stream header, so consumers can pre-size
+// buffers without a full pass. All passes share one os.File, so
 // re-opening the source for multi-pass analysis does not churn file
-// descriptors; Close (optional) releases it.
-func FileSource(path string, prog *program.Program) blockseq.Source {
-	return FileSourceOptions(path, prog, FileOptions{})
-}
-
-// RecoverFileSource streams an encoded trace file in recovery mode (see
-// NewRecoveringSource). Like FileSource, all passes share one os.File.
-func RecoverFileSource(path string, prog *program.Program) blockseq.Source {
-	return FileSourceOptions(path, prog, FileOptions{Recover: true})
-}
-
-// FileSourceOptions streams an encoded trace file with explicit read
-// options (see FileOptions). The zero options value is FileSource.
+// descriptors; Close (optional) releases it. In recovery mode damaged
+// packet regions are skipped at PSB sync points instead of erroring,
+// the source implements Reporting, and passes over a damaged stream
+// still replay identically — recovery decoding is deterministic for a
+// given byte stream.
 func FileSourceOptions(path string, prog *program.Program, o FileOptions) blockseq.Source {
 	h := &fileHandle{path: path}
 	rs := &readerSource{prog: prog, open: h.open, closer: h, rec: o.Recover}
 	if !o.NoMmap {
 		rs.h = h
-	}
-	if o.Decoders > 1 && !o.NoMmap {
-		return newParallelSource(rs, o.Decoders)
 	}
 	return rs
 }
@@ -103,7 +76,7 @@ func BytesSource(data []byte, prog *program.Program) blockseq.Source {
 }
 
 // RecoverBytesSource streams an in-memory encoded trace in recovery mode
-// (see NewRecoveringSource).
+// (see FileSourceOptions).
 func RecoverBytesSource(data []byte, prog *program.Program) blockseq.Source {
 	return &readerSource{prog: prog, inMemory: true, data: data, rec: true}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -50,7 +51,7 @@ func TestBytesSourceReplaysDecode(t *testing.T) {
 
 func TestSourceSurfacesOpenError(t *testing.T) {
 	app := tinyApp(t)
-	src := FileSource("/nonexistent/trace.pt", app.Prog)
+	src := FileSourceOptions("/nonexistent/trace.pt", app.Prog, FileOptions{})
 	seq := src.Open()
 	if _, ok := seq.Next(); ok {
 		t.Fatal("Next succeeded on unopenable file")
@@ -250,7 +251,7 @@ func TestFileSourceConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	blockseqtest.TestSource(t, func(*testing.T) blockseq.Source {
-		return FileSource(path, app.Prog)
+		return FileSourceOptions(path, app.Prog, FileOptions{})
 	})
 }
 
@@ -318,7 +319,7 @@ func TestTraceSourceFaultConformance(t *testing.T) {
 	}
 	t.Run("file", func(t *testing.T) {
 		blockseqtest.TestSourceFault(t, func(*testing.T) blockseq.Source {
-			return FileSource(path, app.Prog)
+			return FileSourceOptions(path, app.Prog, FileOptions{})
 		})
 	})
 	t.Run("recovering", func(t *testing.T) {
@@ -326,4 +327,96 @@ func TestTraceSourceFaultConformance(t *testing.T) {
 			return RecoverBytesSource(raw, app.Prog)
 		})
 	})
+}
+
+// TestMmapFileSourceIdentity pins the mmap fast path against the ReadAt
+// fallback byte-for-byte, including the recovery report on damaged
+// input and, in strict mode, the error text, offset and all.
+func TestMmapFileSourceIdentity(t *testing.T) {
+	app := tinyApp(t)
+	blocks := app.Trace(0, 6000)
+	data, stats := encodeSync(t, app.Prog, blocks, 256)
+	offs := syncOffsets(t, data, stats.Syncs)
+	damaged := append([]byte(nil), data...)
+	damaged[offs[1]+len(psbMagic)] = 0x7F
+
+	dir := t.TempDir()
+	clean := filepath.Join(dir, "clean.pt")
+	dmg := filepath.Join(dir, "damaged.pt")
+	for p, b := range map[string][]byte{clean: data, dmg: damaged} {
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("clean", func(t *testing.T) {
+		want, err := blockseq.Collect(FileSourceOptions(clean, app.Prog, FileOptions{NoMmap: true}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := blockseq.Collect(FileSourceOptions(clean, app.Prog, FileOptions{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(want, got) {
+			t.Fatal("mmap decode diverges from ReadAt decode")
+		}
+	})
+	t.Run("damaged-recovery", func(t *testing.T) {
+		serial := FileSourceOptions(dmg, app.Prog, FileOptions{NoMmap: true, Recover: true})
+		want, err := blockseq.Collect(serial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapped := FileSourceOptions(dmg, app.Prog, FileOptions{Recover: true})
+		got, err := blockseq.Collect(mapped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(want, got) {
+			t.Fatal("mmap recovery diverges from ReadAt recovery")
+		}
+		wantRep, _ := serial.(Reporting).DecodeReport()
+		gotRep, ok := mapped.(Reporting).DecodeReport()
+		if !ok {
+			t.Fatal("mmap recovery pass published no report")
+		}
+		if wantRep.Declared != gotRep.Declared || wantRep.Decoded != gotRep.Decoded ||
+			len(wantRep.Regions) != len(gotRep.Regions) {
+			t.Fatalf("reports differ: mmap %+v, ReadAt %+v", gotRep, wantRep)
+		}
+	})
+}
+
+// TestMmapMatchesReadAtStrictError checks that a strict (non-recovering)
+// decode of a damaged file fails with the same error text whether the file is
+// mapped or read with ReadAt.
+func TestMmapMatchesReadAtStrictError(t *testing.T) {
+	app := tinyApp(t)
+	blocks := app.Trace(0, 6000)
+	data, _ := encodeSync(t, app.Prog, blocks, 256)
+	strict := map[string]func([]byte) []byte{
+		"truncated-tail": func(d []byte) []byte { return d[:len(d)*3/4] },
+		"clobbered-packet": func(d []byte) []byte {
+			out := append([]byte(nil), d...)
+			out[len(out)/2] ^= 0x5A
+			return out
+		},
+	}
+	for name, mutate := range strict {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "bad.pt")
+			if err := os.WriteFile(path, mutate(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, readErr := blockseq.Collect(FileSourceOptions(path, app.Prog, FileOptions{NoMmap: true}))
+			_, mmapErr := blockseq.Collect(FileSourceOptions(path, app.Prog, FileOptions{}))
+			if readErr == nil || mmapErr == nil {
+				t.Fatalf("damage not detected: ReadAt err = %v, mmap err = %v", readErr, mmapErr)
+			}
+			if readErr.Error() != mmapErr.Error() {
+				t.Fatalf("error text differs:\n  ReadAt: %v\n  mmap:   %v", readErr, mmapErr)
+			}
+		})
+	}
 }
